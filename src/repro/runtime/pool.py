@@ -56,12 +56,11 @@ def _star_apply(fn_args: tuple[Callable[..., R], tuple]) -> R:
 
 
 def default_start_method() -> str:
-    """The ``multiprocessing`` start method process-backed tiers use.
+    """The ``multiprocessing`` start method the ingest cluster uses.
 
     ``fork`` where the platform offers it (cheap, inherits the loaded
-    model/tables without re-import), else ``spawn`` — the one rule
-    shared by the ingest cluster coordinator and the serving
-    :class:`~repro.serve.procpool.ProcPredictPool`.
+    model without re-import), else ``spawn``; the
+    :class:`~repro.cluster.coordinator.ClusterCoordinator` default.
 
     >>> default_start_method() in ("fork", "spawn")
     True

@@ -1,701 +1,33 @@
-"""Multi-process prediction: shared-memory model tables, zero-copy workers.
+"""``proc_workers``: a setting whose only accepted value is ``1``.
 
-The threaded serving tier (:class:`~repro.serve.engine.InferenceEngine`
-over a :class:`~repro.runtime.pool.WorkerPool`) scales until the
-Python-level request plumbing serialises on the GIL.  This module is the
-next step: a :class:`ProcPredictPool` publishes a pipeline's packed
-model tables — class prototypes, the regression model vector, the label
-table, the integer-mode weight table — **once** into a single
-:mod:`multiprocessing.shared_memory` segment, and N worker *processes*
-map that segment zero-copy (a ``PackedHV`` view straight over the shared
-buffer; no model pickling per request, no per-worker copy of the
-tables).  Per request, only the packed query rows and the per-row
-answers cross the pipe.
-
-Exactness is inherited, not re-proven: the parent encodes every record
-(so tie-break RNG draws never leave the process), calls ``prepare()``
-before publication (so materialisation consumes the RNG exactly as a
-serial run would), splits the batch into contiguous row ranges with the
-same :func:`~repro.streaming.chunks.iter_slices` bounds the thread-
-sharded predict uses, and merges per-range results in range order
-through the same merge helpers (:func:`~repro.runtime.parallel.merge_label_parts`
-/ :func:`~repro.runtime.parallel.merge_value_parts`).  Workers run the
-identical distance/decode expressions on row slices — the operation the
-thread-sharded tier already pins as bit-identical — so any worker count
-answers exactly like a sequential ``predict_one``.
-
-Crash story (both directions):
-
-* **worker SIGKILL** — workers are stateless pure functions of the
-  shared tables; the parent detects the broken pipe, respawns the
-  worker against the same segment and re-sends only the failed row
-  ranges.  Answers are unchanged because nothing about them ever lived
-  in the dead process.
-* **parent SIGKILL** — every segment is recorded in an on-disk manifest
-  (``$TMPDIR/repro-shm-manifests/<pid>-<token>.json``) owned by the
-  creating process; any later :class:`ProcPredictPool` construction
-  reaps manifests whose owner pid is dead, unlinking their segments.
-  A clean :meth:`ProcPredictPool.close` unlinks the segment and removes
-  its own manifest.
-
-The worker count resolves through the calibration chain
-(:func:`default_proc_workers`): explicit argument, then
-``REPRO_SERVE_PROC_WORKERS``, then the artifact's
-``serve.proc_workers`` knob (measured by ``repro calibrate``), then an
-auto default (one per CPU on ≥4-core hosts, disabled below that —
-process fan-out only pays once there are cores to fan out to).  ``0``
-means "auto" at every link.  Like every knob in the repository, the
-value only moves scheduling; answers are bit-identical for any setting.
+Serving predicts in-process only: the thread-sharded
+:class:`~repro.serve.engine.InferenceEngine` path, bit-identical to a
+sequential ``predict_one``.  The one value ``proc_workers`` can still
+take is ``1`` (``None`` and ``0`` mean the same).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import traceback
-import uuid
-import weakref
-from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from pathlib import Path
-from typing import Any, Callable, Hashable
+from ..exceptions import InvalidParameterError
 
-import numpy as np
-
-from ..exceptions import EmptyModelError, InvalidParameterError
-from ..hdc.coerce import batch_rows
-from ..hdc.kernels import pairwise_hamming
-from ..hdc.packed import PackedHV, packed_bind
-from ..learning.classifier import CentroidClassifier
-from ..learning.regression import HDRegressor
-from ..runtime.parallel import merge_label_parts, merge_value_parts
-from ..runtime.pool import default_start_method
-from ..streaming.chunks import iter_slices
-
-__all__ = [
-    "DEFAULT_PROC_WORKERS",
-    "auto_proc_workers",
-    "default_proc_workers",
-    "reap_stale_segments",
-    "ProcPredictPool",
-    "proc_worker_main",
-]
-
-#: Environment variable overriding the calibrated worker-process count
-#: (the calibration knob is ``serve.proc_workers``; ``0`` means auto).
-_ENV_PROC_WORKERS = "REPRO_SERVE_PROC_WORKERS"
-
-#: Sentinel for the built-in default: resolved per host by
-#: :func:`auto_proc_workers` (``1`` below 4 cores, one per CPU above).
-DEFAULT_PROC_WORKERS = 0
-
-#: Array offsets inside a published segment are aligned to this many
-#: bytes so every dtype maps cleanly over the shared buffer.
-_ALIGN = 64
-
-#: Where segment ownership manifests live; one JSON file per pool,
-#: named ``<owner-pid>-<token>.json``.
-_MANIFEST_DIR = Path(tempfile.gettempdir()) / "repro-shm-manifests"
-
-#: Respawn budget per row-range dispatch: a worker that dies this many
-#: times in a row while computing the same ranges is a real fault, not a
-#: stray ``kill``.
-_MAX_RESPAWNS = 2
+__all__ = ["default_proc_workers"]
 
 
-def auto_proc_workers() -> int:
-    """The built-in ``proc_workers`` default for this host.
-
-    One worker per CPU on hosts with at least 4 cores; ``1`` (process
-    fan-out disabled, predict runs in the serving process) below that —
-    shipping query rows over a pipe only pays once several cores can
-    scan in parallel.
-
-    >>> auto_proc_workers() >= 1
-    True
-    """
-    cpus = os.cpu_count() or 1
-    return cpus if cpus >= 4 else 1
-
-
+# Kept because the end-to-end benchmark (perfbench/) records this value.
 def default_proc_workers(proc_workers: int | None = None) -> int:
-    """Resolve the worker-process count through the calibration chain.
+    """Validate a ``proc_workers`` request; the only answer is ``1``.
 
-    ``arg > REPRO_SERVE_PROC_WORKERS > serve.proc_workers > auto``
-    (see :func:`auto_proc_workers`).  ``0`` or ``None`` at any link
-    means "auto"; ``1`` disables process fan-out entirely.  Any value
-    produces bit-identical answers.
-
-    >>> default_proc_workers(3)
-    3
-    >>> default_proc_workers(1)
+    >>> default_proc_workers()
     1
+    >>> default_proc_workers(2)
+    Traceback (most recent call last):
+    ...
+    repro.exceptions.InvalidParameterError: proc_workers must be 1 (predict runs in-process only), got 2
     """
-    from ..tuning.calibration import resolve_knob
-
-    if proc_workers is not None and (
-        not isinstance(proc_workers, int)
-        or isinstance(proc_workers, bool)
-        or proc_workers < 0
+    if proc_workers is None or (
+        type(proc_workers) is int and proc_workers in (0, 1)
     ):
-        raise InvalidParameterError(
-            f"proc_workers must be a non-negative integer, got {proc_workers!r}"
-        )
-    value = resolve_knob(
-        "serve",
-        "proc_workers",
-        builtin=DEFAULT_PROC_WORKERS,
-        arg=proc_workers or None,
-        env_var=_ENV_PROC_WORKERS,
-        cast=int,
-        minimum=0,
+        return 1
+    raise InvalidParameterError(
+        f"proc_workers must be 1 (predict runs in-process only), got {proc_workers!r}"
     )
-    value = int(value)
-    return value if value >= 1 else auto_proc_workers()
-
-
-# -- segment manifests (parent-owned, kill-safe) ------------------------------
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - foreign-owned pid
-        return True
-    except OSError:  # pragma: no cover - exotic platforms
-        return True
-    return True
-
-
-def _unlink_segment(name: str) -> None:
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    segment.close()
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - concurrent reap
-        pass
-
-
-def reap_stale_segments() -> list[str]:
-    """Unlink segments whose owning process is gone; returns their names.
-
-    Every :class:`ProcPredictPool` records its segment in an on-disk
-    manifest before the first worker spawns; this sweep (run on every
-    pool construction, callable directly by operators) removes the
-    segments of parents that died without a clean :meth:`close` — the
-    ``kill -9`` leak path.
-    """
-    reaped: list[str] = []
-    if not _MANIFEST_DIR.is_dir():
-        return reaped
-    for path in sorted(_MANIFEST_DIR.glob("*.json")):
-        try:
-            doc = json.loads(path.read_text())
-            pid = int(doc["pid"])
-            segments = [str(s) for s in doc["segments"]]
-        except (OSError, ValueError, KeyError, TypeError):
-            # A torn write from a dying parent: the manifest is unusable,
-            # but only remove it once no process claims the filename pid.
-            try:
-                owner = int(path.name.split("-", 1)[0])
-            except ValueError:
-                owner = -1
-            if owner < 0 or not _pid_alive(owner):
-                path.unlink(missing_ok=True)
-            continue
-        if _pid_alive(pid):
-            continue
-        for name in segments:
-            _unlink_segment(name)
-            reaped.append(name)
-        path.unlink(missing_ok=True)
-    return reaped
-
-
-def _write_manifest(segments: list[str]) -> Path:
-    _MANIFEST_DIR.mkdir(parents=True, exist_ok=True)
-    token = uuid.uuid4().hex[:12]
-    path = _MANIFEST_DIR / f"{os.getpid()}-{token}.json"
-    payload = json.dumps({"pid": os.getpid(), "segments": segments})
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(payload + "\n")
-    os.replace(tmp, path)
-    return path
-
-
-def _cleanup_segment(segment_name: str, manifest_path: str) -> None:
-    """Idempotent last-resort cleanup (weakref finalizer target)."""
-    _unlink_segment(segment_name)
-    Path(manifest_path).unlink(missing_ok=True)
-
-
-# -- publication --------------------------------------------------------------
-
-@dataclass
-class _WorkerPlan:
-    """Everything a worker needs to serve; picklable for ``spawn``.
-
-    The arrays themselves stay in the shared segment — this carries only
-    the map (name → offset/shape/dtype) plus scalar model metadata.
-    Class labels never appear here: workers return winner *indices* and
-    the parent maps them through its own ``class_order``.
-    """
-
-    kind: str                    # "classification" | "regression"
-    segment: str
-    dim: int
-    backend: str | None
-    arrays: dict[str, tuple[int, tuple[int, ...], str]] = field(default_factory=dict)
-    model_mode: str | None = None
-    decode_mode: str | None = None
-    total: int = 0               # integer-mode normaliser (bundle total)
-
-
-def _publish_arrays(
-    named: list[tuple[str, np.ndarray]],
-) -> tuple[shared_memory.SharedMemory, dict[str, tuple[int, tuple[int, ...], str]]]:
-    """Copy arrays into one fresh segment; returns it plus the offset map."""
-    metas: dict[str, tuple[int, tuple[int, ...], str]] = {}
-    offset = 0
-    for name, arr in named:
-        offset = -(-offset // _ALIGN) * _ALIGN
-        metas[name] = (offset, tuple(arr.shape), arr.dtype.str)
-        offset += arr.nbytes
-    segment = shared_memory.SharedMemory(
-        create=True, size=max(1, offset), name=f"repro-{os.getpid()}-{uuid.uuid4().hex[:12]}"
-    )
-    for name, arr in named:
-        off, shape, dtype = metas[name]
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=off)
-        view[...] = arr
-    return segment, metas
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach read-side to an existing segment without adopting ownership.
-
-    Python 3.13 grew ``track=False`` for exactly this.  On older
-    runtimes the attach re-registers the segment with the resource
-    tracker — harmless, because the tracker process (and its name
-    *set*) is shared down the process tree under both start methods,
-    so the duplicate register is a no-op and the single entry is
-    removed exactly once, by the owning parent's ``unlink``.
-    Explicitly unregistering here would strip the parent's entry and
-    make that later ``unlink`` trip a tracker ``KeyError``.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
-def _segment_view(
-    segment: shared_memory.SharedMemory, meta: tuple[int, tuple[int, ...], str]
-) -> np.ndarray:
-    offset, shape, dtype = meta
-    view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
-    view.setflags(write=False)
-    return view
-
-
-def _integer_weight_table(model: HDRegressor) -> np.ndarray:
-    """The folded ``A = signed ⊙ Lᵀ`` table of the integer-mode score.
-
-    Mirrors the first half of :meth:`HDRegressor._label_scores` exactly
-    (same expressions, same dtypes); the per-query half runs in the
-    worker on this frozen table.
-    """
-    label_bits = model.label_embedding.basis.vectors
-    total = model.num_samples
-    signed = (total - 2.0 * model.bundle_counts).astype(np.float32)
-    label_bipolar = 1.0 - 2.0 * label_bits.astype(np.float32)
-    return signed[:, None] * label_bipolar.T
-
-
-def _decode_scores(scores: np.ndarray, grid: np.ndarray, decode_mode: str) -> np.ndarray:
-    """Label decode on a score block — the tail of :meth:`HDRegressor.predict`.
-
-    Must stay expression-for-expression identical to the serial decode
-    (pinned by ``tests/serve/test_procpool.py`` across both modes and
-    the degenerate weighted branch).
-    """
-    scores = np.atleast_2d(scores)
-    if decode_mode == "argmin":
-        return grid[np.argmax(scores, axis=-1)]
-    weights = np.clip(scores, 0.0, None)
-    totals = weights.sum(axis=-1)
-    out = np.empty(scores.shape[0], dtype=np.float64)
-    degenerate = totals <= 1e-12
-    if np.any(degenerate):
-        out[degenerate] = grid[np.argmax(scores[degenerate], axis=-1)]
-    good = ~degenerate
-    if np.any(good):
-        out[good] = (weights[good] * grid[None, :]).sum(axis=-1) / totals[good]
-    return out
-
-
-def _make_scorer(
-    plan: _WorkerPlan, segment: shared_memory.SharedMemory
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind the per-row-range score function over zero-copy table views."""
-    views = {name: _segment_view(segment, meta) for name, meta in plan.arrays.items()}
-    if plan.kind == "classification":
-        table = PackedHV(views["table"], plan.dim)
-
-        def score(rows_data: np.ndarray) -> np.ndarray:
-            rows = PackedHV(rows_data, plan.dim)
-            distances = pairwise_hamming(rows, table, backend=plan.backend)
-            return np.argmin(np.atleast_2d(distances), axis=-1)
-
-        return score
-    grid = views["grid"]
-    if plan.model_mode == "binary":
-        model_hv = PackedHV(views["model"], plan.dim)
-        labels = PackedHV(views["labels"], plan.dim)
-
-        def score(rows_data: np.ndarray) -> np.ndarray:
-            queries = PackedHV(rows_data, plan.dim)
-            unbound = packed_bind(queries, model_hv)
-            distances = pairwise_hamming(unbound, labels, backend=plan.backend)
-            return _decode_scores(1.0 - 2.0 * distances, grid, plan.decode_mode)
-
-        return score
-    weighted = views["weighted"]
-    colsum = weighted.sum(axis=0)[None, :]
-    norm = plan.dim * max(plan.total, 1)
-
-    def score(rows_data: np.ndarray) -> np.ndarray:
-        bits = PackedHV(rows_data, plan.dim).unpack()
-        scores = colsum - 2.0 * (bits.astype(np.float32) @ weighted)
-        return _decode_scores(scores / norm, grid, plan.decode_mode)
-
-    return score
-
-
-def proc_worker_main(plan: _WorkerPlan, conn: Any) -> None:
-    """Worker entry point: map the segment, answer row ranges until EOF.
-
-    Module-level so the ``spawn`` start method can import it.  Protocol
-    (tuples over the duplex pipe, mirroring the cluster worker idiom):
-
-    * ``("predict", [(range_index, packed_rows), ...])`` →
-      ``("ok", [(range_index, result_array), ...])`` or
-      ``("error", traceback_text)``;
-    * ``("close",)`` or pipe EOF → exit.
-
-    Workers hold no mutable state: every answer is a pure function of
-    the shared tables and the request rows, which is what makes the
-    parent's respawn-and-resend recovery exact.
-    """
-    segment = _attach_segment(plan.segment)
-    try:
-        score = _make_scorer(plan, segment)
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message[0] == "close":
-                break
-            try:
-                jobs = message[1]
-                conn.send(("ok", [(idx, score(rows)) for idx, rows in jobs]))
-            except Exception:  # noqa: BLE001 - shipped to the parent
-                try:
-                    conn.send(("error", traceback.format_exc()))
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    break
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - teardown race
-            pass
-        segment.close()
-
-
-# -- the parent-side pool -----------------------------------------------------
-
-class ProcPredictPool:
-    """Shard predict batches across worker processes over shared tables.
-
-    Parameters
-    ----------
-    pipeline:
-        A *trained* :class:`~repro.serve.pipeline.TrainedPipeline`; its
-        packed tables are materialised (``prepare()``, consuming the
-        tie-break RNG exactly as a serial run would) and published to
-        shared memory at construction.  Raises
-        :class:`~repro.exceptions.EmptyModelError` for an untrained
-        pipeline (the online-bootstrap engine path keeps serving
-        inline).
-    workers:
-        Worker-process count (≥ 2 to be useful; ``1`` builds a pool that
-        still works but fans out nothing).
-    backend:
-        Similarity-kernel backend string forwarded to the workers'
-        distance scans; every choice is bit-identical.
-    start_method:
-        ``multiprocessing`` start method; ``None`` picks the platform
-        default (``fork`` where available, else ``spawn`` — the same
-        rule the ingest cluster uses).
-
-    The pool snapshots the model tables: :meth:`stale` reports whether
-    the live model has diverged (online ``learn``/``forget`` invalidate
-    the materialised tables), and the engine falls back to in-process
-    predict in that case — bit-identical either way.
-    """
-
-    def __init__(
-        self,
-        pipeline: Any,
-        workers: int,
-        backend: str | None = None,
-        start_method: str | None = None,
-    ) -> None:
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise InvalidParameterError(
-                f"workers must be a positive integer, got {workers!r}"
-            )
-        reap_stale_segments()
-        import multiprocessing
-
-        self.workers = workers
-        self.backend = backend
-        self._ctx = multiprocessing.get_context(start_method or default_start_method())
-        self._class_order: list[Hashable] | None = None
-        self._stale_fn: Callable[[], bool]
-        model = pipeline.model
-        named: list[tuple[str, np.ndarray]]
-        if isinstance(model, CentroidClassifier):
-            table, order = model.prototype_table()
-            self._class_order = order
-            named = [("table", table.data)]
-            plan_kw: dict[str, Any] = {"kind": "classification"}
-            self._stale_fn = lambda: model.packed_prototypes is not table
-        elif isinstance(model, HDRegressor):
-            model.prepare()
-            grid = np.asarray(model.label_embedding.discretizer.points, dtype=np.float64)
-            if model.model_mode == "binary":
-                packed_model = model.packed_model
-                named = [
-                    ("model", packed_model.data),
-                    ("labels", model.label_embedding.basis.packed.data),
-                    ("grid", grid),
-                ]
-                self._stale_fn = (
-                    lambda: model.materialised_model is not packed_model
-                )
-            else:
-                if model.num_samples == 0:
-                    raise EmptyModelError("regressor has no training data")
-                counts = model.bundle_counts.copy()
-                total = model.num_samples
-                named = [
-                    ("weighted", _integer_weight_table(model)),
-                    ("grid", grid),
-                ]
-                self._stale_fn = lambda: not (
-                    model.num_samples == total
-                    and np.array_equal(model.bundle_counts, counts)
-                )
-            plan_kw = {
-                "kind": "regression",
-                "model_mode": model.model_mode,
-                "decode_mode": model.decode_mode,
-                "total": model.num_samples,
-            }
-        else:
-            raise InvalidParameterError(
-                f"cannot publish tables for a {type(model).__name__}"
-            )
-        self._segment, arrays = _publish_arrays(named)
-        self._manifest_path = _write_manifest([self._segment.name])
-        self._plan = _WorkerPlan(
-            segment=self._segment.name,
-            dim=pipeline.dim,
-            backend=backend,
-            arrays=arrays,
-            **plan_kw,
-        )
-        self._procs: list[Any] = []
-        self._conns: list[Any] = []
-        self._closed = False
-        # Last-resort cleanup if the pool is dropped without close():
-        # unlink the segment and drop the manifest (workers are daemonic,
-        # they die with the parent).
-        self._finalizer = weakref.finalize(
-            self, _cleanup_segment, self._segment.name, str(self._manifest_path)
-        )
-        try:
-            for i in range(workers):
-                self._spawn(i)
-        except BaseException:
-            self.close()
-            raise
-
-    # -- worker lifecycle ------------------------------------------------------
-    def _spawn(self, index: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=proc_worker_main,
-            args=(self._plan, child_conn),
-            name=f"repro-serve-proc-{index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        if index < len(self._procs):
-            self._procs[index] = process
-            self._conns[index] = parent_conn
-        else:
-            self._procs.append(process)
-            self._conns.append(parent_conn)
-
-    def _respawn(self, index: int) -> None:
-        process, conn = self._procs[index], self._conns[index]
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        if process.is_alive():  # pragma: no cover - pipe died first
-            process.terminate()
-        process.join(timeout=5)
-        self._spawn(index)
-
-    @property
-    def segment_name(self) -> str:
-        """The published segment's name (for leak checks and ops tooling)."""
-        return self._segment.name
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def stale(self) -> bool:
-        """True when the live model no longer matches the published tables.
-
-        Online learning invalidates the materialised tables; the engine
-        checks this per batch (O(1) identity check, O(d) count compare
-        for the integer regressor) and serves inline when stale.
-        """
-        return self._stale_fn()
-
-    # -- predict ---------------------------------------------------------------
-    def predict(self, encoded: PackedHV) -> list[Hashable] | np.ndarray:
-        """Predict a packed batch, sharded by row range across the workers.
-
-        Ranges come from the same :func:`iter_slices` arithmetic as the
-        thread-sharded predict, results merge in range order through the
-        shared merge helpers, and classification winners are mapped to
-        labels in the parent — so the output is exactly
-        ``model.predict(encoded)``.
-        """
-        if self._closed:
-            raise InvalidParameterError("ProcPredictPool is closed")
-        n = batch_rows(encoded)
-        if n == 0:
-            return [] if self._class_order is not None else np.empty(0, dtype=np.float64)
-        bounds = iter_slices(n, -(-n // self.workers))
-        assignments: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for idx, (lo, hi) in enumerate(bounds):
-            assignments.setdefault(idx % self.workers, []).append(
-                (idx, np.ascontiguousarray(encoded.data[lo:hi]))
-            )
-        results = self._scatter_gather(assignments)
-        parts = [results[idx] for idx in range(len(bounds))]
-        if self._class_order is not None:
-            order = self._class_order
-            return merge_label_parts(
-                [[order[int(i)] for i in part] for part in parts]
-            )
-        return merge_value_parts(parts)
-
-    def _scatter_gather(
-        self, assignments: dict[int, list[tuple[int, np.ndarray]]]
-    ) -> dict[int, np.ndarray]:
-        results: dict[int, np.ndarray] = {}
-        failed: list[int] = []
-        for wi, jobs in assignments.items():
-            try:
-                self._conns[wi].send(("predict", jobs))
-            except (BrokenPipeError, OSError):
-                failed.append(wi)
-        for wi, jobs in assignments.items():
-            if wi in failed:
-                continue
-            try:
-                reply = self._conns[wi].recv()
-            except (EOFError, OSError):
-                failed.append(wi)
-                continue
-            self._consume(reply, results)
-        # Recovery path: respawn each dead worker against the intact
-        # segment and re-send only its ranges — exact, because workers
-        # are stateless over frozen tables.
-        for wi in failed:
-            reply = None
-            for _ in range(_MAX_RESPAWNS):
-                self._respawn(wi)
-                try:
-                    self._conns[wi].send(("predict", assignments[wi]))
-                    reply = self._conns[wi].recv()
-                    break
-                except (BrokenPipeError, EOFError, OSError):
-                    reply = None
-            if reply is None:
-                raise RuntimeError(
-                    f"serving worker {wi} died {_MAX_RESPAWNS} consecutive times; "
-                    "giving up on process fan-out for this batch"
-                )
-            self._consume(reply, results)
-        return results
-
-    @staticmethod
-    def _consume(reply: tuple, results: dict[int, np.ndarray]) -> None:
-        if reply[0] == "error":
-            raise RuntimeError(f"serving worker failed:\n{reply[1]}")
-        for idx, part in reply[1]:
-            results[idx] = part
-
-    # -- lifecycle -------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the workers, unlink the segment, drop the manifest (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._procs:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - teardown race
-                pass
-        self._procs.clear()
-        self._conns.clear()
-        self._segment.close()
-        self._finalizer()  # unlink + manifest removal, exactly once
-
-    def __enter__(self) -> "ProcPredictPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProcPredictPool(workers={self.workers}, "
-            f"segment={self._segment.name!r}, closed={self._closed})"
-        )

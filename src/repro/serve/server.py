@@ -427,7 +427,14 @@ class ServeServer:
         if batched:
             # Submit concurrently: the scheduler coalesces the rows
             # (plus any other in-flight traffic) into shared batches.
-            values = await asyncio.gather(*(batcher.submit(row) for row in rows))
+            # Every admitted row is awaited before a refusal is raised, so
+            # a 429'd request holds no queue slot once its answer is sent.
+            values = await asyncio.gather(
+                *(batcher.submit(row) for row in rows), return_exceptions=True
+            )
+            for value in values:
+                if isinstance(value, BaseException):
+                    raise value
             return 200, {
                 "model": name,
                 "predictions": [json_scalar(v) for v in values],

@@ -157,6 +157,11 @@ class TestServeCLI:
         assert result.returncode != 0
         assert "--model" in result.stderr
 
+    def test_serve_http_proc_workers_is_usage_error(self):
+        result = _run_cli(["serve-http", "--model", "g=g.npz", "--proc-workers", "2"])
+        assert result.returncode == 2
+        assert "unrecognized arguments: --proc-workers 2" in result.stderr
+
     def test_cli_served_predictions_match_in_memory_engine(self, classification_model):
         """Acceptance: CLI-trained artifact served in a fresh process is
         bit-identical to the same pipeline trained and queried in-memory."""

@@ -9,10 +9,12 @@ micro-batches, serial and sharded workers.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.basis import RandomBasis
+from repro.basis import LevelBasis, RandomBasis
 from repro.datasets import make_jigsaws_like
 from repro.exceptions import InvalidParameterError
 from repro.experiments.config import ClassificationConfig, RegressionConfig
@@ -21,7 +23,15 @@ from repro.experiments.serving import (
     train_pipeline,
     train_regression_pipeline,
 )
-from repro.serve import InferenceEngine, load_model, save_model
+from repro.learning import HDRegressor
+from repro.serve import (
+    InferenceEngine,
+    OnlineLearner,
+    TrainedPipeline,
+    load_model,
+    save_model,
+)
+from repro.serve.procpool import default_proc_workers
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +127,84 @@ class TestRegressionServing:
             assert np.array_equal(sharded.predict(anomalies), expected)
 
 
+def _rows(pipeline, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 2.0 * np.pi, (n, pipeline.num_features))
+
+
+def _regression_pipeline(model: str, decode: str, dim: int = 256):
+    """A trained HDRegressor pipeline at the given model/decode combo."""
+    emb = LevelBasis(32, dim, seed=5).linear_embedding(0.0, 1.0)
+    x = np.linspace(0.0, 1.0, 48)
+    reg = HDRegressor(emb, seed=9, decode=decode, model=model).fit(
+        emb.encode_packed(x), x
+    )
+    return TrainedPipeline(kind="regression", model=reg, embedding=emb)
+
+
+class TestShardedMatchesSequential:
+    """Thread-sharded predict equals sequential ``predict_one`` for any
+    worker count, batch size, model kind and decode mode."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_classifier(self, classification_pipeline, workers, batch):
+        rows = _rows(classification_pipeline, batch, seed=batch)
+        with InferenceEngine(classification_pipeline, workers=1) as serial:
+            expected = serial.predict(rows)
+            expected_one = [serial.predict_one(r) for r in rows]
+        with InferenceEngine(classification_pipeline, workers=workers) as engine:
+            assert engine.predict(rows) == expected == expected_one
+            assert list(engine.predict_coalesced(rows)) == expected
+
+    @pytest.mark.parametrize("model_mode", ["binary", "integer"])
+    @pytest.mark.parametrize("decode", ["argmin", "weighted"])
+    def test_regressor(self, model_mode, decode):
+        pipeline = _regression_pipeline(model_mode, decode)
+        rows = np.linspace(0.05, 0.95, 23)[:, None]
+        with InferenceEngine(pipeline, workers=1) as serial:
+            expected = serial.predict(rows)
+            expected_one = [serial.predict_one(r) for r in rows]
+        with InferenceEngine(pipeline, workers=3) as engine:
+            np.testing.assert_array_equal(engine.predict(rows), expected)
+            np.testing.assert_array_equal(engine.predict_coalesced(rows), expected_one)
+
+    def test_random_tie_pipeline_coalesced(self, random_tie_pipeline):
+        """Coalesced answers keep every tie-break draw of sequential
+        ``predict_one``, row for row."""
+        rows = np.random.default_rng(3).random((12, 4))
+        with InferenceEngine(random_tie_pipeline, workers=1) as serial:
+            expected = [serial.predict_one(r) for r in rows]
+        with InferenceEngine(random_tie_pipeline, workers=2) as engine:
+            assert engine.predict_coalesced(rows) == expected
+
+    def test_empty_coalesced_batch(self, classification_pipeline):
+        with InferenceEngine(classification_pipeline, workers=2) as engine:
+            assert engine.predict_coalesced(np.empty((0, engine.num_features))) == []
+
+    def test_workers_above_rows(self, classification_pipeline):
+        """More workers than rows: some shards are empty, answers unchanged."""
+        rows = _rows(classification_pipeline, 2, seed=6)
+        with InferenceEngine(classification_pipeline, workers=1) as serial:
+            expected = serial.predict(rows)
+        with InferenceEngine(classification_pipeline, workers=3) as engine:
+            assert engine.predict(rows) == expected
+
+    def test_online_learning_visible_to_open_engine(self, classification_pipeline):
+        """An engine opened before online learning serves the mutated
+        model, not a snapshot of the old one."""
+        pipeline = copy.deepcopy(classification_pipeline)
+        rows = _rows(pipeline, 6, seed=8)
+        with InferenceEngine(pipeline, workers=2) as engine:
+            before = engine.predict(rows)
+            with OnlineLearner(pipeline) as learner:
+                learner.learn(rows, ["G1"] * len(rows))
+            after = engine.predict(rows)
+            assert after != before
+            with InferenceEngine(pipeline, workers=1) as fresh:
+                assert after == fresh.predict(rows)
+
+
 class TestKernelBackends:
     """The backend knob and the predict_one fast path are invisible in
     the answers: every backend, worker count and entry point must agree
@@ -183,6 +271,26 @@ class TestKernelBackends:
 
 
 class TestEngineGuards:
+    @pytest.mark.parametrize("value", [None, 0, 1])
+    def test_default_proc_workers_is_in_process(self, value):
+        assert default_proc_workers(value) == 1
+
+    @pytest.mark.parametrize("value", [2, -1, True])
+    def test_default_proc_workers_rejects_fan_out(self, value):
+        with pytest.raises(InvalidParameterError, match="proc_workers"):
+            default_proc_workers(value)
+
+    def test_from_path_proc_workers(
+        self, classification_pipeline, gesture_records, tmp_path
+    ):
+        path = tmp_path / "clf.npz"
+        save_model(classification_pipeline, path)
+        with InferenceEngine(classification_pipeline) as live, \
+                InferenceEngine.from_path(path, proc_workers=1) as reloaded:
+            assert reloaded.predict(gesture_records) == live.predict(gesture_records)
+        with pytest.raises(InvalidParameterError, match="proc_workers"):
+            InferenceEngine.from_path(path, proc_workers=2)
+
     def test_non_pipeline_artifact_rejected(self, tmp_path):
         path = tmp_path / "basis.npz"
         save_model(RandomBasis(4, 64, seed=0), path)

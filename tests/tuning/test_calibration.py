@@ -84,9 +84,12 @@ class TestValidation:
         with pytest.raises(CalibrationError, match="section"):
             Calibration.from_knobs({"quantum": {"flux": 1}})
 
-    def test_unknown_knob_rejected(self):
+    @pytest.mark.parametrize(
+        "section, knob", [("kernels", "warp_factor"), ("serve", "proc_workers")]
+    )
+    def test_unknown_knob_rejected(self, section, knob):
         with pytest.raises(CalibrationError, match="knob"):
-            Calibration.from_knobs({"kernels": {"warp_factor": 9}})
+            Calibration.from_knobs({section: {knob: 2}})
 
     @pytest.mark.parametrize("value", [0, -1, "fast", None, True])
     def test_non_positive_or_non_numeric_knob_rejected(self, value):
