@@ -90,6 +90,10 @@ class CentroidClassifier:
         self._accumulators: dict[Hashable, BundleAccumulator] = {}
         self._class_vectors: dict[Hashable, np.ndarray] | None = None
         self._packed_table: PackedHV | None = None
+        #: Bumped by every update of the accumulators; anything derived
+        #: from the prototypes (a serving answer table, say) is stale once
+        #: it moves.
+        self.generation = 0
         self._class_order: list[Hashable] = []
 
     # -- properties -------------------------------------------------------------
@@ -159,8 +163,10 @@ class CentroidClassifier:
         ]
 
     def _invalidate(self) -> None:
+        """Drop the prototypes after an update; bump :attr:`generation`."""
         self._class_vectors = None
         self._packed_table = None
+        self.generation += 1
 
     def partial_fit(self, chunks: Iterable[LabelledChunk]) -> "CentroidClassifier":
         """Canonical chunked reducer: stream labelled chunks into the model.

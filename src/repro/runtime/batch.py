@@ -161,6 +161,14 @@ class BatchEncoder:
         gathered = self._fused[self._channel_index[None, :], indices_chunk]
         return gathered.sum(axis=1, dtype=self.count_dtype)
 
+    def _tie_rng(self, seed: SeedLike) -> np.random.Generator | None:
+        """The tie-break stream, built only for the ``"random"`` policy.
+
+        The other policies never draw, so a per-request generator (fresh
+        OS entropy when ``seed`` is ``None``) would be pure overhead.
+        """
+        return ensure_rng(seed) if self.tie_break == "random" else None
+
     def encode_one(
         self,
         features: np.ndarray,
@@ -194,7 +202,7 @@ class BatchEncoder:
         idx = self.embedding.indices(features).reshape(1, self.num_channels)
         counts = self.chunk_counts(idx)
         encoded = majority_from_counts(
-            counts, self.num_channels, tie_break=self.tie_break, seed=ensure_rng(seed)
+            counts, self.num_channels, tie_break=self.tie_break, seed=self._tie_rng(seed)
         )
         if packed:
             return PackedHV(np.packbits(encoded, axis=-1), self.dim)
@@ -235,7 +243,7 @@ class BatchEncoder:
         idx = self.indices(features)
         n = idx.shape[0]
         d = self.dim
-        rng = ensure_rng(seed)
+        rng = self._tie_rng(seed)
         starts = list(range(0, n, self.chunk_size))
         chunks = [idx[s:s + self.chunk_size] for s in starts]
         if pool is None:

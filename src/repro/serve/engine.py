@@ -15,6 +15,13 @@ the pipeline's ``encode_seed`` on every call, the engine is stateless
 across requests: the same record always yields the same hypervector and
 therefore the same prediction — whether it arrives alone, inside a
 batch, today or from a reloaded replica next year.
+
+A keyless pipeline (one embedding, no keys) encodes a record as one of
+the embedding's ``m`` basis rows, so its answer is a pure function of
+the quantised level.  The engine answers those pipelines from a
+per-level table (:class:`_LevelAnswers`) that it fills lazily, one
+``model.predict`` call over the missing levels' basis rows, and drops
+whenever the model's ``generation`` moves.
 """
 
 from __future__ import annotations
@@ -35,6 +42,26 @@ from .pipeline import TrainedPipeline
 from .procpool import default_proc_workers
 
 __all__ = ["InferenceEngine"]
+
+
+class _LevelAnswers:
+    """Model answers by quantised level for one model generation.
+
+    ``known`` is set only after ``answers`` is written, so a concurrent
+    reader either sees a finished answer or fills the level itself
+    (writing the same value).
+    """
+
+    def __init__(self, key: tuple[int, int], levels: int, numeric: bool) -> None:
+        self.key = key
+        self.answers = np.empty(levels, dtype=np.float64 if numeric else object)
+        self.known = np.zeros(levels, dtype=bool)
+
+    def fill(self, levels: np.ndarray, answers: Any) -> None:
+        # Per element: a slice assignment would spread a tuple label.
+        for level, answer in zip(levels.tolist(), answers):
+            self.answers[level] = answer
+        self.known[levels] = True
 
 
 class InferenceEngine:
@@ -100,6 +127,7 @@ class InferenceEngine:
             )
         else:
             self._encoder = None
+        self._levels: _LevelAnswers | None = None  # keyless answer table
         try:
             pipeline.model.prepare()
         except EmptyModelError:
@@ -197,6 +225,8 @@ class InferenceEngine:
         order — and for any ``backend`` (under ``"auto"``, each
         micro-batch picks the similarity kernel for its own size).
         """
+        if self._encoder is None:
+            return self._keyless_answers(self._as_batch(features)[:, 0])
         encoded = self.encode(features)
         model = self.pipeline.model
         if self._pool.serial:
@@ -227,6 +257,8 @@ class InferenceEngine:
           encode, so here each record is encoded through the same
           freshly-seeded single-record path ``predict_one`` uses, and
           only the distance scan is coalesced.
+        * keyless pipelines answer from the per-level table, which
+          ``predict`` and ``predict_one`` read too.
 
         Returns a plain list of per-record labels/values (scalars), in
         request order.
@@ -235,10 +267,8 @@ class InferenceEngine:
         if batch.shape[0] == 0:
             return []
         if self._encoder is None:
-            # Keyless pipelines quantise each value independently — no
-            # tie draws at all, so batch encoding is trivially exact.
-            encoded = self.pipeline.embedding.encode_packed(batch[:, 0])
-        elif self.pipeline.tie_break in ("zeros", "ones"):
+            return list(self._keyless_answers(batch[:, 0]))
+        if self.pipeline.tie_break in ("zeros", "ones"):
             pool = None if self._pool.serial else self._pool
             encoded = self._encoder.encode(
                 batch, seed=self.pipeline.encode_seed, packed=True, pool=pool
@@ -258,10 +288,12 @@ class InferenceEngine:
     def predict_one(self, record: Any) -> Any:
         """Predict for exactly one record; returns a scalar label/value.
 
-        The single-record fast path: encodes through
+        The single-record fast path.  A keyed pipeline encodes through
         :meth:`~repro.runtime.batch.BatchEncoder.encode_one` (no chunk
         partitioning, no pool dispatch) and predicts inline — under
-        ``"auto"`` a one-row scan always lands on the XOR kernel.  The
+        ``"auto"`` its one-row scan lands on the XOR kernel.  A keyless
+        pipeline reads the per-level answer table; a level it has not
+        answered yet is filled by a one-row scan of its basis row.  The
         answer is bit-identical to ``predict([record])[0]`` (asserted in
         ``tests/serve/test_engine.py``); the per-call latency drop is
         measured by ``benchmarks/bench_serve_latency.py``.
@@ -272,13 +304,42 @@ class InferenceEngine:
                 f"predict_one takes a single ({self.num_features},) record, "
                 f"got shape {arr.shape}"
             )
-        if self._encoder is not None:
-            encoded = self._encoder.encode_one(
-                arr, seed=self.pipeline.encode_seed, packed=True
-            )
-        else:
-            encoded = self.pipeline.embedding.encode_packed(arr[:1])
+        if self._encoder is None:
+            return self._keyless_answers(arr[:1])[0]
+        encoded = self._encoder.encode_one(
+            arr, seed=self.pipeline.encode_seed, packed=True
+        )
         return self.pipeline.model.predict(encoded, backend=self.backend)[0]
+
+    def _keyless_answers(self, values: np.ndarray) -> Union[list[Hashable], np.ndarray]:
+        """:meth:`predict`'s answer for keyless records, from the level table.
+
+        Quantises ``values``, fills the levels this model generation has
+        not answered yet with one ``model.predict`` over their basis rows
+        (the exact hypervectors ``encode_packed`` would build), and
+        gathers.  The table is keyed on the model's identity and
+        ``generation``, so online learning or forgetting empties it, and
+        the model's lazy materialisation (with its tie-break RNG draws)
+        still happens on the first predict after an update.
+        """
+        model = self.pipeline.model
+        embedding = self.pipeline.embedding
+        idx = embedding.indices(values)
+        key = (id(model), model.generation)
+        table = self._levels
+        if table is None or table.key != key:
+            table = self._levels = _LevelAnswers(
+                key, len(embedding), numeric=self.kind == "regression"
+            )
+        missing = idx[~table.known[idx]]
+        # An empty batch still reaches the model: it raises on an
+        # untrained model exactly as an encode-then-predict would.
+        if missing.size or idx.size == 0:
+            missing = np.unique(missing)
+            rows = PackedHV(embedding.basis.packed.data[missing], embedding.dim)
+            table.fill(missing, model.predict(rows, backend=self.backend))
+        answers = table.answers[idx]
+        return answers.tolist() if answers.dtype == object else answers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

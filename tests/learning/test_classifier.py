@@ -143,3 +143,24 @@ class TestRefinement:
         clf = CentroidClassifier(DIM).fit(x, y)
         with pytest.raises(InvalidParameterError):
             clf.refine(x, y, epochs=-1)
+
+
+class TestGeneration:
+    def test_every_update_bumps_generation(self):
+        x = np.eye(8, dtype=np.uint8)
+        y = [0, 1] * 4
+        clf = CentroidClassifier(dim=8, tie_break="zeros")
+        seen = [clf.generation]
+        clf.fit(x, y)
+        seen.append(clf.generation)
+        clf.ingest_counts([(0, x[:2].sum(axis=0, dtype=np.int64), 2)])
+        seen.append(clf.generation)
+        clf.absorb_counts(clf.shard_counts(x[:4], y[:4]))
+        seen.append(clf.generation)
+        clf.forget(x[:2], y[:2])
+        seen.append(clf.generation)
+        clf.refine(x, y)
+        seen.append(clf.generation)
+        assert seen == sorted(set(seen))
+        clf.predict(x)
+        assert clf.generation == seen[-1]

@@ -137,3 +137,48 @@ class TestDecodeModes:
         model = HDRegressor(label_embedding, seed=3, decode="weighted").fit(x, y)
         pred = model.predict(random_hypervectors(20, DIM, rng))
         assert (pred >= 0.0).all() and (pred <= 10.0).all()
+
+
+class TestUpdatesInvalidateDecodeState:
+    """Every update drops the frozen decode state and bumps ``generation``:
+    predictions after it equal a fresh regressor holding the same bundle."""
+
+    @staticmethod
+    def _fresh(model: HDRegressor) -> HDRegressor:
+        fresh = HDRegressor(
+            model.label_embedding, "zeros", decode=model.decode_mode, model=model.model_mode
+        )
+        return fresh.ingest_counts(model._bundle.counts.copy(), model._bundle.total)
+
+    @pytest.mark.parametrize("model_mode", ["binary", "integer"])
+    @pytest.mark.parametrize("decode", ["argmin", "weighted"])
+    def test_each_update(self, rng, label_embedding, model_mode, decode):
+        x = random_hypervectors(40, DIM, rng)
+        y = rng.uniform(0, 10, 40)
+        probe = random_hypervectors(25, DIM, rng)
+        model = HDRegressor(label_embedding, "zeros", decode=decode, model=model_mode)
+        model.fit(x[:20], y[:20]).prepare()
+        updates = [
+            lambda: model.partial_fit([(x[20:30], y[20:30])]),
+            lambda: model.ingest_counts(
+                model.shard_bundle(x[30:], y[30:]).counts, 10
+            ),
+            lambda: model.forget(x[:12], y[:12]),
+            lambda: model.absorb(model.shard_bundle(x[:12], y[:12])),
+        ]
+        for update in updates:
+            model.predict(probe)  # leave the decode state built
+            generation = model.generation
+            update()
+            assert model.generation > generation
+            np.testing.assert_array_equal(
+                model.predict(probe), self._fresh(model).predict(probe)
+            )
+
+    def test_prepare_builds_integer_table_once(self, rng, label_embedding):
+        x = random_hypervectors(10, DIM, rng)
+        model = HDRegressor(label_embedding, model="integer").fit(x, rng.uniform(0, 10, 10))
+        table = model.prepare()._decode_table
+        assert table is not None
+        model.predict(x)
+        assert model._decode_table is table

@@ -126,3 +126,54 @@ class TestEncodeOne:
             encoder.encode_one(np.zeros((2, CHANNELS)))
         with pytest.raises(InvalidParameterError):
             encoder.encode_one(np.zeros(CHANNELS + 1))
+
+
+class TestTieStream:
+    """A tie-break generator is built only for the ``"random"`` policy."""
+
+    @staticmethod
+    def _counting_ensure_rng(monkeypatch) -> list:
+        import repro.runtime.batch as batch_module
+
+        calls: list = []
+        real = batch_module.ensure_rng
+
+        def counting(seed=None):
+            calls.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(batch_module, "ensure_rng", counting)
+        return calls
+
+    @pytest.mark.parametrize("tie_break", ["zeros", "ones"])
+    def test_position_free_policies_build_no_generator(
+        self, monkeypatch, features, tie_break
+    ):
+        basis = LevelBasis(LEVELS, DIM, seed=0)
+        enc = BatchEncoder(
+            random_hypervectors(CHANNELS, DIM, seed=1),
+            basis.linear_embedding(0.0, 1.0),
+            tie_break=tie_break,
+            chunk_size=64,
+        )
+        expected = enc.encode(features, seed=5)
+        calls = self._counting_ensure_rng(monkeypatch)
+        np.testing.assert_array_equal(enc.encode(features), expected)
+        np.testing.assert_array_equal(enc.encode_one(features[0]), expected[:1])
+        assert calls == []
+
+    def test_random_policy_shares_one_stream_across_chunks(self, monkeypatch, features):
+        keys = random_hypervectors(4, DIM, seed=1)
+        enc = BatchEncoder(
+            keys,
+            LevelBasis(LEVELS, DIM, seed=0).linear_embedding(0.0, 1.0),
+            tie_break="random",
+            chunk_size=64,
+        )
+        serial = encode_keyvalue_records(
+            keys, enc.indices(features[:, :4]), enc.embedding.basis.vectors,
+            seed=np.random.default_rng(9), chunk_size=64,
+        )
+        calls = self._counting_ensure_rng(monkeypatch)
+        np.testing.assert_array_equal(enc.encode(features[:, :4], seed=9), serial)
+        assert calls == [9]

@@ -10,20 +10,21 @@ micro-batches, serial and sharded workers.
 from __future__ import annotations
 
 import copy
+import threading
 
 import numpy as np
 import pytest
 
-from repro.basis import LevelBasis, RandomBasis
+from repro.basis import CircularBasis, LevelBasis, RandomBasis
 from repro.datasets import make_jigsaws_like
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import EmptyModelError, InvalidParameterError
 from repro.experiments.config import ClassificationConfig, RegressionConfig
 from repro.experiments.serving import (
     train_classification_pipeline,
     train_pipeline,
     train_regression_pipeline,
 )
-from repro.learning import HDRegressor
+from repro.learning import CentroidClassifier, HDRegressor
 from repro.serve import (
     InferenceEngine,
     OnlineLearner,
@@ -203,6 +204,144 @@ class TestShardedMatchesSequential:
             assert after != before
             with InferenceEngine(pipeline, workers=1) as fresh:
                 assert after == fresh.predict(rows)
+
+    @pytest.mark.parametrize("model_mode", ["binary", "integer"])
+    def test_online_learning_visible_to_open_regressor_engine(self, model_mode):
+        """Learning changes a keyless engine's answers; forgetting the
+        same records restores them bit for bit, through the same engine
+        (a position-free tie policy, so rematerialising draws nothing)."""
+        pipeline = _keyless_regression_pipeline(model_mode, "argmin", "zeros")
+        values = _every_level_and_edge(pipeline.embedding)[:, None]
+        learned = np.random.default_rng(31).uniform(0.0, 2 * np.pi, (40, 1))
+        with InferenceEngine(pipeline, workers=2) as engine:
+            before = engine.predict(values)
+            with OnlineLearner(pipeline) as learner:
+                learner.learn(learned, np.ones(len(learned)))
+                after = engine.predict(values)
+                assert not np.array_equal(after, before)
+                np.testing.assert_array_equal(
+                    after,
+                    pipeline.model.predict(pipeline.embedding.encode_packed(values[:, 0])),
+                )
+                learner.forget(learned, np.ones(len(learned)))
+            np.testing.assert_array_equal(engine.predict(values), before)
+
+
+def _keyless_regression_pipeline(
+    model: str, decode: str, tie_break: str = "random", levels: int = 24, dim: int = 512
+):
+    """A keyless angle → value regressor, shaped like Mars Express.
+
+    An even training count and the ``"random"`` tie policy make the
+    binary model's materialisation draw from its RNG.
+    """
+    feature = CircularBasis(levels, dim, seed=21).circular_embedding(period=2 * np.pi)
+    label = LevelBasis(16, dim, seed=22).linear_embedding(0.0, 1.0)
+    angles = np.random.default_rng(23).uniform(0.0, 2 * np.pi, 60)
+    targets = (np.sin(angles) + 1.0) / 2.0
+    reg = HDRegressor(label, tie_break, seed=24, decode=decode, model=model).fit(
+        feature.encode_packed(angles), targets
+    )
+    return TrainedPipeline(kind="regression", model=reg, embedding=feature)
+
+
+def _every_level_and_edge(embedding) -> np.ndarray:
+    """Every grid point, the level midpoints and the wrap edges."""
+    points = embedding.discretizer.points
+    step = points[1] - points[0]
+    edges = [0.0, 2 * np.pi, -0.1, 2 * np.pi + 0.1]
+    return np.concatenate([points, points + step / 2, edges])
+
+
+def _race(call, inputs: list) -> list:
+    """``call`` on every input, one thread each, released together."""
+    results: list = [None] * len(inputs)
+    barrier = threading.Barrier(len(inputs))
+
+    def work(i: int) -> None:
+        barrier.wait()
+        results[i] = call(inputs[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
+
+
+class TestKeylessAnswerTable:
+    """The per-level answer table against the reference encode-then-predict
+    path (a fresh model copy), not against another engine."""
+
+    @pytest.mark.parametrize("model_mode", ["binary", "integer"])
+    @pytest.mark.parametrize("decode", ["argmin", "weighted"])
+    def test_matches_reference_for_every_level(self, model_mode, decode):
+        pipeline = _keyless_regression_pipeline(model_mode, decode)
+        reference = copy.deepcopy(pipeline.model)
+        values = _every_level_and_edge(pipeline.embedding)
+        with InferenceEngine(pipeline) as engine:
+            singles = np.array([engine.predict_one([v]) for v in values])
+            coalesced = np.array(engine.predict_coalesced(values[:, None]))
+            batch = engine.predict(values[:, None])
+        expected = reference.predict(pipeline.embedding.encode_packed(values))
+        np.testing.assert_array_equal(singles, expected)
+        np.testing.assert_array_equal(coalesced, expected)
+        np.testing.assert_array_equal(batch, expected)
+
+    def test_cold_coalesced_batch_matches_reference(self):
+        """A cold engine fills every level from one coalesced batch."""
+        pipeline = _keyless_regression_pipeline("integer", "weighted")
+        reference = copy.deepcopy(pipeline.model)
+        values = _every_level_and_edge(pipeline.embedding)[::-1]
+        with InferenceEngine(pipeline, workers=2) as engine:
+            coalesced = np.array(engine.predict_coalesced(values[:, None]))
+        expected = reference.predict(pipeline.embedding.encode_packed(values))
+        np.testing.assert_array_equal(coalesced, expected)
+
+    def test_keyless_classifier_labels(self):
+        """Object labels (tuples included) survive the table unchanged."""
+        emb = CircularBasis(12, 256, seed=3).circular_embedding(period=12.0)
+        hours = np.arange(12.0)
+        labels = [("am",) if h < 6 else ("pm", int(h)) for h in hours]
+        clf = CentroidClassifier(dim=256, tie_break="zeros").fit(
+            emb.encode_packed(hours), labels
+        )
+        pipeline = TrainedPipeline(kind="classification", model=clf, embedding=emb)
+        values = np.concatenate([hours, hours + 0.4])
+        expected = copy.deepcopy(clf).predict(emb.encode_packed(values))
+        with InferenceEngine(pipeline) as engine:
+            assert engine.predict(values[:, None]) == expected
+            assert engine.predict_coalesced(values[:, None]) == expected
+            assert [engine.predict_one([v]) for v in values] == expected
+
+    def test_untrained_model_still_raises(self):
+        emb = CircularBasis(12, 256, seed=3).circular_embedding(period=12.0)
+        label = LevelBasis(8, 256, seed=4).linear_embedding(0.0, 1.0)
+        pipeline = TrainedPipeline(
+            kind="regression", model=HDRegressor(label), embedding=emb
+        )
+        with InferenceEngine(pipeline) as engine:
+            for call in (engine.predict, engine.predict_coalesced):
+                with pytest.raises(EmptyModelError):
+                    call(np.array([[1.0]]))
+            with pytest.raises(EmptyModelError):
+                engine.predict(np.empty((0, 1)))
+
+    def test_concurrent_cold_fills(self):
+        """Four threads racing to fill a cold table all get the
+        sequential answers."""
+        pipeline = _keyless_regression_pipeline("integer", "weighted")
+        values = _every_level_and_edge(pipeline.embedding)
+        rows = [np.roll(values, 7 * t)[:, None] for t in range(4)]
+        expected = [
+            pipeline.model.predict(pipeline.embedding.encode_packed(r[:, 0])) for r in rows
+        ]
+        for _ in range(5):
+            with InferenceEngine(copy.deepcopy(pipeline)) as engine:
+                results = _race(engine.predict_coalesced, rows)
+            for got, want in zip(results, expected):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestKernelBackends:
