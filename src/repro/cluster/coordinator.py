@@ -37,13 +37,10 @@ from ..learning.merge import absorb_delta
 from ..runtime.pool import default_start_method
 from ..streaming.chunks import ChunkSource
 from ..streaming.reduce import StreamStats
+from ..tuning.calibration import resolve_knob
 from .worker import WorkerPlan, worker_main, worker_proto
 
 __all__ = ["ClusterCoordinator", "default_cluster_workers"]
-
-#: Environment variable overriding the default cluster worker count
-#: (the calibration knob is ``cluster.workers``).
-_ENV_CLUSTER_WORKERS = "REPRO_CLUSTER_WORKERS"
 
 
 def default_cluster_workers(workers: Union[int, None] = None) -> int:
@@ -60,20 +57,7 @@ def default_cluster_workers(workers: Union[int, None] = None) -> int:
     >>> default_cluster_workers() >= 1
     True
     """
-    from ..tuning.calibration import resolve_knob
-
-    value = resolve_knob(
-        "cluster",
-        "workers",
-        builtin=1,
-        arg=workers,
-        env_var=_ENV_CLUSTER_WORKERS,
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
-
-
+    return max(1, int(resolve_knob("cluster", "workers", workers)))
 
 
 @dataclass

@@ -81,13 +81,15 @@ class ModelFormatError(ReproError, ValueError):
     """
 
 
-class CalibrationError(ReproError, ValueError):
-    """Raised when a calibration artifact or workload spec is unusable.
+class CalibrationError(InvalidParameterError):
+    """Raised when a calibration artifact, knob override or workload spec is unusable.
 
     Covers unreadable files, schema versions this library does not
-    understand, malformed knob values, and workload specs whose target
-    or budget fields are missing or out of range
-    (see :mod:`repro.tuning`).
+    understand, malformed knob values (in an artifact or a ``REPRO_*``
+    environment variable), and workload specs whose target or budget
+    fields are missing or out of range (see :mod:`repro.tuning`).  A
+    bad knob value is a bad parameter, so this subclasses
+    :class:`InvalidParameterError`.
     """
 
 

@@ -72,8 +72,9 @@ class HyperdimensionalHashRing:
     Example
     -------
     >>> ring = HyperdimensionalHashRing(slots=64, dim=4096, seed=0)
-    >>> for name in ("alpha", "beta", "gamma"):
-    ...     ring.add_server(name)
+    >>> slots = [ring.add_server(name) for name in ("alpha", "beta", "gamma")]
+    >>> len(set(slots))                     # every server owns its own slot
+    3
     >>> server = ring.route("user-42")      # deterministic routing
     >>> server in {"alpha", "beta", "gamma"}
     True

@@ -62,7 +62,7 @@ import numpy as np
 
 from .._rng import ensure_rng
 from ..exceptions import DimensionMismatchError, InvalidParameterError
-from ..tuning.calibration import ENV_CALIBRATION, register_cache, resolve_knob
+from ..tuning.calibration import KNOB_SCHEMA, resolve_knob
 from .kernels import kernel_threads
 from .ops import majority_from_counts
 from .packed import BundleAccumulator, cell_budget
@@ -89,22 +89,17 @@ INGEST_BACKENDS = ("auto", "ref", "fused", "numba")
 #: Environment variable selecting the default ingest backend.
 _ENV_BACKEND = "REPRO_INGEST_KERNEL"
 
-#: Environment variables overriding the fused path's knobs (each also
-#: has a calibration knob in the ``ingest`` section).
-_ENV_BLOCK_ROWS = "REPRO_INGEST_BLOCK_ROWS"
-_ENV_MIN_ROWS = "REPRO_INGEST_FUSED_MIN_ROWS"
-
 #: Rows per fused threshold block.  Bounds the transient count block at
 #: ``block · d`` int16 cells; big enough to amortise the per-channel
 #: gather dispatch, small enough to stay cache-friendly.  Calibration
 #: knob: ``ingest.block_rows``.
-DEFAULT_BLOCK_ROWS = 256
+DEFAULT_BLOCK_ROWS = KNOB_SCHEMA["ingest"]["block_rows"].builtin
 
 #: ``"auto"`` takes the fused path once a chunk holds at least this
 #: many rows; tinier chunks stay on ``ref`` (the per-channel python
 #: dispatch dominates below it).  Calibration knob:
 #: ``ingest.fused_min_rows``.
-DEFAULT_FUSED_MIN_ROWS = 32
+DEFAULT_FUSED_MIN_ROWS = KNOB_SCHEMA["ingest"]["fused_min_rows"].builtin
 
 #: Cap, in uint8 cells, on each thread's preallocated gather scratch
 #: (1 MiB) — the same cache-residency reasoning as the xor-mt block.
@@ -150,50 +145,6 @@ def resolve_ingest_backend(backend: Union[str, None] = None) -> str:
     return backend
 
 
-#: Memo of resolved ingest knobs, keyed on the raw environment strings
-#: the precedence chain depends on (including the calibration artifact
-#: path).  Registered with the calibration module, so
-#: ``invalidate_cache()`` and every ``save_calibration()`` clear it —
-#: an in-process re-calibration or a mid-process ``REPRO_CALIBRATION``
-#: switch is picked up immediately.
-_knob_memo: dict = {}
-register_cache(_knob_memo)
-
-
-def _ingest_knobs() -> tuple[int, int]:
-    """The active ``(block_rows, fused_min_rows)`` pair, memoised."""
-    env = os.environ
-    key = (env.get(_ENV_BLOCK_ROWS), env.get(_ENV_MIN_ROWS), env.get(ENV_CALIBRATION))
-    hit = _knob_memo.get(key)
-    if hit is None:
-        hit = (
-            int(
-                resolve_knob(
-                    "ingest",
-                    "block_rows",
-                    builtin=DEFAULT_BLOCK_ROWS,
-                    env_var=_ENV_BLOCK_ROWS,
-                    cast=int,
-                    minimum=1,
-                )
-            ),
-            int(
-                resolve_knob(
-                    "ingest",
-                    "fused_min_rows",
-                    builtin=DEFAULT_FUSED_MIN_ROWS,
-                    env_var=_ENV_MIN_ROWS,
-                    cast=int,
-                    minimum=1,
-                )
-            ),
-        )
-        if len(_knob_memo) > 64:
-            _knob_memo.clear()
-        _knob_memo[key] = hit
-    return hit
-
-
 def ingest_block_rows(block_rows: Union[int, None] = None) -> int:
     """Rows per fused threshold block (arg > env > artifact > built-in).
 
@@ -202,16 +153,12 @@ def ingest_block_rows(block_rows: Union[int, None] = None) -> int:
     >>> ingest_block_rows() >= 1
     True
     """
-    if block_rows is not None:
-        return max(1, int(block_rows))
-    return _ingest_knobs()[0]
+    return max(1, int(resolve_knob("ingest", "block_rows", block_rows)))
 
 
 def ingest_fused_min_rows(min_rows: Union[int, None] = None) -> int:
     """The fused-vs-ref row crossover (arg > env > artifact > built-in)."""
-    if min_rows is not None:
-        return max(1, int(min_rows))
-    return _ingest_knobs()[1]
+    return max(1, int(resolve_knob("ingest", "fused_min_rows", min_rows)))
 
 
 def use_fused(rows: int) -> bool:

@@ -75,7 +75,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ..exceptions import DimensionMismatchError, InvalidParameterError
-from ..tuning.calibration import ENV_CALIBRATION, register_cache, resolve_knob
+from ..tuning.calibration import KNOB_SCHEMA, resolve_knob
 from . import packed as _packed
 from .packed import (
     DEFAULT_CELL_BUDGET,
@@ -109,13 +109,6 @@ BACKENDS = ("auto", "gemm", "xor", "xor-mt")
 #: Environment variable selecting the default backend.
 _ENV_BACKEND = "REPRO_KERNEL"
 
-#: Environment variables overriding the ``auto`` dispatch thresholds and
-#: the ``xor-mt`` thread count (each also has a calibration knob; see
-#: the module docstring for the full precedence chain).
-_ENV_CROSSOVER = "REPRO_KERNEL_CROSSOVER"
-_ENV_MT_CELLS = "REPRO_KERNEL_MT_CELLS"
-_ENV_THREADS = "REPRO_KERNEL_THREADS"
-
 #: Accepted spellings that normalise to a canonical backend name.
 _BACKEND_ALIASES = {"xor-popcount": "xor", "xor_mt": "xor-mt"}
 
@@ -126,7 +119,7 @@ _BACKEND_ALIASES = {"xor-popcount": "xor", "xor_mt": "xor-mt"}
 #: ``benchmarks/bench_kernels_similarity.py`` (break-even sits near
 #: ``n = m = 32``; harmonic size 16).  A calibration artifact
 #: (``kernels.gemm_crossover``) replaces it with the per-host value.
-AUTO_CROSSOVER = 16.0
+AUTO_CROSSOVER = KNOB_SCHEMA["kernels"]["gemm_crossover"].builtin
 
 #: Below the GEMM crossover, ``auto`` takes the ``xor-mt`` path once the
 #: XOR cube holds at least this many byte cells (``n·m·width``).  Under
@@ -134,7 +127,7 @@ AUTO_CROSSOVER = 16.0
 #: the temporary tax of the reference scan.  Built-in default measured
 #: by ``repro calibrate``; the artifact knob is
 #: ``kernels.xor_mt_min_cells``.
-XOR_MT_MIN_CELLS = 2_000_000
+XOR_MT_MIN_CELLS = KNOB_SCHEMA["kernels"]["xor_mt_min_cells"].builtin
 
 #: Cache-sized cap, in ``uint64`` cells, on each thread's preallocated
 #: XOR scratch block (512 KiB of ``uint64`` + 64 KiB of counts) — small
@@ -181,60 +174,6 @@ def resolve_backend(backend: str | None = None) -> str:
     return name
 
 
-#: Memo of resolved dispatch knobs, keyed on the raw environment
-#: strings the precedence chain depends on.  Similarity calls can be
-#: microsecond-scale, so the dispatcher must not repay env parsing and
-#: artifact probing per call.  Registered with the calibration module,
-#: so ``invalidate_cache()`` and every ``save_calibration()`` clear it;
-#: an artifact rewritten *outside* those APIs needs an explicit
-#: :func:`repro.tuning.calibration.invalidate_cache`.
-_knob_memo: dict = {}
-register_cache(_knob_memo)
-
-
-def _auto_thresholds() -> tuple[float, int]:
-    """The active ``(gemm_crossover, xor_mt_min_cells)`` pair, memoised."""
-    env = os.environ
-    key = (env.get(_ENV_CROSSOVER), env.get(_ENV_MT_CELLS), env.get(ENV_CALIBRATION))
-    hit = _knob_memo.get(key)
-    if hit is None:
-        hit = (
-            float(
-                resolve_knob(
-                    "kernels",
-                    "gemm_crossover",
-                    builtin=AUTO_CROSSOVER,
-                    env_var=_ENV_CROSSOVER,
-                    cast=float,
-                )
-            ),
-            int(
-                resolve_knob(
-                    "kernels",
-                    "xor_mt_min_cells",
-                    builtin=XOR_MT_MIN_CELLS,
-                    env_var=_ENV_MT_CELLS,
-                    cast=int,
-                    minimum=1,
-                )
-            ),
-        )
-        if len(_knob_memo) > 64:
-            _knob_memo.clear()
-        _knob_memo[key] = hit
-    return hit
-
-
-def _gemm_crossover() -> float:
-    """The active harmonic-size GEMM threshold (see precedence chain)."""
-    return _auto_thresholds()[0]
-
-
-def _xor_mt_min_cells() -> int:
-    """The active ``xor-mt`` cell threshold (see precedence chain)."""
-    return _auto_thresholds()[1]
-
-
 def kernel_threads(threads: int | None = None) -> int:
     """The worker count for the ``xor-mt`` backend.
 
@@ -249,25 +188,7 @@ def kernel_threads(threads: int | None = None) -> int:
     >>> kernel_threads() >= 1
     True
     """
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ
-    key = ("threads", env.get(_ENV_THREADS), env.get(ENV_CALIBRATION))
-    hit = _knob_memo.get(key)
-    if hit is None:
-        value = resolve_knob(
-            "kernels",
-            "xor_mt_threads",
-            builtin=os.cpu_count() or 1,
-            env_var=_ENV_THREADS,
-            cast=int,
-            minimum=1,
-        )
-        hit = max(1, int(value))
-        if len(_knob_memo) > 64:
-            _knob_memo.clear()
-        _knob_memo[key] = hit
-    return hit
+    return max(1, int(resolve_knob("kernels", "xor_mt_threads", threads)))
 
 
 def use_gemm(n: int, m: int, dim: int) -> bool:
@@ -288,7 +209,7 @@ def use_gemm(n: int, m: int, dim: int) -> bool:
     del dim
     if n <= 0 or m <= 0:
         return False
-    return n * m >= _gemm_crossover() * (n + m)
+    return n * m >= resolve_knob("kernels", "gemm_crossover") * (n + m)
 
 
 def use_xor_mt(n: int, m: int, dim: int) -> bool:
@@ -308,7 +229,7 @@ def use_xor_mt(n: int, m: int, dim: int) -> bool:
     """
     if n <= 0 or m <= 0:
         return False
-    return n * m * packed_width(dim) >= _xor_mt_min_cells()
+    return n * m * packed_width(dim) >= resolve_knob("kernels", "xor_mt_min_cells")
 
 
 def _as_rows(hv: Union[PackedHV, np.ndarray], context: str) -> PackedHV:
@@ -489,12 +410,9 @@ def _counts(
     """
     if backend == "auto":
         n, m = pa.data.shape[0], pb.data.shape[0]
-        # One memo probe covers both thresholds (cheaper than calling
-        # the use_gemm / use_xor_mt predicates, which resolve separately).
-        crossover, min_cells = _auto_thresholds()
-        if n * m >= crossover * (n + m):
+        if use_gemm(n, m, pa.dim):
             backend = "gemm"
-        elif n * m * packed_width(pa.dim) >= min_cells:
+        elif use_xor_mt(n, m, pa.dim):
             backend = "xor-mt"
         else:
             backend = "xor"

@@ -31,7 +31,6 @@ unpacked bit arrays.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence, Union
 
 import numpy as np
@@ -43,6 +42,7 @@ from ..exceptions import (
     InvalidHypervectorError,
     InvalidParameterError,
 )
+from ..tuning.calibration import KNOB_SCHEMA, resolve_knob
 from .hypervector import BIT_DTYPE, as_hypervector
 
 __all__ = [
@@ -70,49 +70,24 @@ BYTE_BITS = 8
 #: the similarity kernels: the ``(chunk, m, width)`` XOR cube here and
 #: the unpacked float operand blocks of the GEMM backend in
 #: :mod:`repro.hdc.kernels`.  Shared so that every distance path answers
-#: to one memory knob.
-DEFAULT_CELL_BUDGET = 64_000_000
-
-#: Environment variable overriding :data:`DEFAULT_CELL_BUDGET`
-#: (for low-memory CI runners, or to force the blocked code paths).
-_ENV_BUDGET = "REPRO_KERNEL_BUDGET"
+#: to one memory knob (``kernels.cell_budget``).
+DEFAULT_CELL_BUDGET = KNOB_SCHEMA["kernels"]["cell_budget"].builtin
 
 
 def cell_budget() -> int:
     """The current kernel allocation budget, in cells.
 
-    Reads ``REPRO_KERNEL_BUDGET`` on every call (so tests and constrained
-    runners can adjust it without re-importing), then the active
-    calibration artifact's ``kernels.cell_budget`` knob (see
-    :mod:`repro.tuning.calibration`), falling back to
+    Resolves ``kernels.cell_budget`` on every call: the
+    ``REPRO_KERNEL_BUDGET`` environment variable (for low-memory runners,
+    or to force the blocked code paths), then the active calibration
+    artifact (see :mod:`repro.tuning.calibration`), then
     :data:`DEFAULT_CELL_BUDGET`.  The value bounds transient allocations
     only — results are bit-identical for any budget.
 
     >>> cell_budget() >= 1
     True
     """
-    raw = os.environ.get(_ENV_BUDGET)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidParameterError(
-                f"{_ENV_BUDGET} must be a positive integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidParameterError(
-                f"{_ENV_BUDGET} must be a positive integer, got {raw!r}"
-            )
-        return value
-    # Lazy import: this module sits below the tuning layer.
-    from ..tuning.calibration import active_calibration
-
-    calibration = active_calibration()
-    if calibration is not None:
-        calibrated = calibration.get("kernels", "cell_budget")
-        if calibrated is not None:
-            return int(calibrated)
-    return DEFAULT_CELL_BUDGET
+    return resolve_knob("kernels", "cell_budget")
 
 #: Whether the running numpy exposes the hardware popcount ufunc.
 #: Module-level so tests can force the lookup-table fallback.

@@ -30,6 +30,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..exceptions import InvalidParameterError
+from ..tuning.calibration import resolve_knob
 
 __all__ = [
     "WorkerPool",
@@ -42,11 +43,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 _BACKENDS = ("thread", "process")
-
-#: Environment variable overriding the calibrated default worker count
-#: (the calibration knob is ``runtime.workers``; see
-#: :func:`default_workers`).
-_ENV_WORKERS = "REPRO_WORKERS"
 
 
 def _star_apply(fn_args: tuple[Callable[..., R], tuple]) -> R:
@@ -109,18 +105,7 @@ def default_workers(workers: int | None = None) -> int:
     >>> default_workers() >= 1
     True
     """
-    from ..tuning.calibration import resolve_knob
-
-    value = resolve_knob(
-        "runtime",
-        "workers",
-        builtin=1,
-        arg=workers,
-        env_var=_ENV_WORKERS,
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
+    return max(1, int(resolve_knob("runtime", "workers", workers)))
 
 
 class WorkerPool:

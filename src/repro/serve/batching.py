@@ -40,7 +40,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..exceptions import BackpressureError
-from ..tuning.calibration import resolve_knob
+from ..tuning.calibration import KNOB_SCHEMA, resolve_knob
 from .registry import ModelRegistry
 
 __all__ = [
@@ -58,14 +58,14 @@ __all__ = [
 #: Built-in batch window: how long a non-full batch may wait for more
 #: concurrent traffic, in milliseconds.  ``repro calibrate`` measures a
 #: host-specific value (``serve.batch_window_ms``).
-DEFAULT_BATCH_WINDOW_MS = 2.0
+DEFAULT_BATCH_WINDOW_MS = KNOB_SCHEMA["serve"]["batch_window_ms"].builtin
 
 #: Built-in cap on coalesced batch size (``serve.batch_max``).
-DEFAULT_BATCH_MAX = 32
+DEFAULT_BATCH_MAX = KNOB_SCHEMA["serve"]["batch_max"].builtin
 
 #: Built-in bound on admitted-but-unanswered requests per model
 #: (``serve.max_queue``); beyond it, submits fail with backpressure.
-DEFAULT_MAX_QUEUE = 256
+DEFAULT_MAX_QUEUE = KNOB_SCHEMA["serve"]["max_queue"].builtin
 
 #: Upper edges (seconds) of the request-latency histogram kept in
 #: :attr:`MicroBatcher.stats` and exported by the HTTP tier's
@@ -109,16 +109,7 @@ def default_batch_window_ms(window_ms: float | None = None) -> float:
     >>> default_batch_window_ms(1.5)
     1.5
     """
-    value = resolve_knob(
-        "serve",
-        "batch_window_ms",
-        builtin=DEFAULT_BATCH_WINDOW_MS,
-        arg=window_ms,
-        env_var="REPRO_SERVE_BATCH_WINDOW_MS",
-        cast=float,
-        minimum=0.0,
-    )
-    return max(0.0, float(value))
+    return max(0.0, float(resolve_knob("serve", "batch_window_ms", window_ms)))
 
 
 def default_batch_max(batch_max: int | None = None) -> int:
@@ -130,16 +121,7 @@ def default_batch_max(batch_max: int | None = None) -> int:
     >>> default_batch_max(8)
     8
     """
-    value = resolve_knob(
-        "serve",
-        "batch_max",
-        builtin=DEFAULT_BATCH_MAX,
-        arg=batch_max,
-        env_var="REPRO_SERVE_BATCH_MAX",
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
+    return max(1, int(resolve_knob("serve", "batch_max", batch_max)))
 
 
 def default_max_queue(max_queue: int | None = None) -> int:
@@ -150,16 +132,7 @@ def default_max_queue(max_queue: int | None = None) -> int:
     >>> default_max_queue(64)
     64
     """
-    value = resolve_knob(
-        "serve",
-        "max_queue",
-        builtin=DEFAULT_MAX_QUEUE,
-        arg=max_queue,
-        env_var="REPRO_SERVE_MAX_QUEUE",
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
+    return max(1, int(resolve_knob("serve", "max_queue", max_queue)))
 
 
 class MicroBatcher:

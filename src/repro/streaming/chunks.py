@@ -28,6 +28,7 @@ from typing import Any, Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from ..exceptions import InvalidParameterError
+from ..tuning.calibration import KNOB_SCHEMA, resolve_knob
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -43,12 +44,7 @@ __all__ = [
 
 #: Default rows per streamed chunk.  Bounds the transient encode gather
 #: at roughly ``rows × k × d`` bytes; lower it to shrink peak memory.
-DEFAULT_CHUNK_ROWS = 1024
-
-#: Environment variable overriding the default chunk size (the
-#: calibration knob is ``streaming.chunk_rows``; see
-#: :func:`default_chunk_rows`).
-_ENV_CHUNK_ROWS = "REPRO_CHUNK_ROWS"
+DEFAULT_CHUNK_ROWS = KNOB_SCHEMA["streaming"]["chunk_rows"].builtin
 
 
 def default_chunk_rows(chunk_size: int | None = None) -> int:
@@ -67,18 +63,7 @@ def default_chunk_rows(chunk_size: int | None = None) -> int:
     >>> default_chunk_rows() >= 1
     True
     """
-    from ..tuning.calibration import resolve_knob
-
-    value = resolve_knob(
-        "streaming",
-        "chunk_rows",
-        builtin=DEFAULT_CHUNK_ROWS,
-        arg=chunk_size,
-        env_var=_ENV_CHUNK_ROWS,
-        cast=int,
-        minimum=1,
-    )
-    return int(value)
+    return int(resolve_knob("streaming", "chunk_rows", chunk_size))
 
 
 @dataclass(frozen=True)

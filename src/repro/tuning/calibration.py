@@ -19,10 +19,12 @@ The contract:
 * **Activation** — the ``REPRO_CALIBRATION`` environment variable
   points at the artifact.  When unset, every knob falls back to its
   built-in default, so nothing changes for uncalibrated processes.
+* **Declaration** — :data:`KNOB_SCHEMA` holds one :class:`Knob` row
+  per knob: its environment variable, built-in value and validator.
 * **Precedence** — consumers resolve each knob through
   :func:`resolve_knob`: an explicit argument wins, then the knob's own
   environment variable (``REPRO_KERNEL_BUDGET`` and friends), then the
-  calibration artifact, then the built-in constant.
+  calibration artifact, then the built-in value.
 * **Bit-identity** — calibration only moves crossover, blocking and
   scheduling decisions.  Every consumer is bit-identical for any knob
   value (property-tested with adversarial artifacts in
@@ -33,24 +35,25 @@ The contract:
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, TypeVar, Union
+from typing import Any, NamedTuple, Union
 
 from ..exceptions import CalibrationError
 
 __all__ = [
     "SCHEMA_VERSION",
     "ENV_CALIBRATION",
+    "Knob",
     "KNOB_SCHEMA",
     "Calibration",
     "load_calibration",
     "save_calibration",
     "active_calibration",
     "resolve_knob",
-    "register_cache",
     "invalidate_cache",
 ]
 
@@ -60,48 +63,84 @@ SCHEMA_VERSION = 1
 #: Environment variable pointing at the active calibration artifact.
 ENV_CALIBRATION = "REPRO_CALIBRATION"
 
-T = TypeVar("T", int, float)
+
+class Knob(NamedTuple):
+    """One performance knob, declared once (a row of :data:`KNOB_SCHEMA`).
+
+    ``env`` is the knob's own environment variable and ``builtin`` the
+    value used when nothing else resolves (a zero-argument callable when
+    it depends on the host).  ``type`` parses the env string and casts
+    artifact values.  :meth:`valid` is the knob's one validator, applied
+    to env and artifact values alike: the right type, finite, and at
+    least ``minimum`` (strictly above it when ``strict``).
+
+    >>> knob = KNOB_SCHEMA["serve"]["batch_window_ms"]
+    >>> knob.env, knob.builtin, knob.rule
+    ('REPRO_SERVE_BATCH_WINDOW_MS', 2.0, 'a finite number >= 0')
+    >>> knob.valid(0.0), knob.valid(float("inf")), knob.valid(True)
+    (True, False, False)
+    """
+
+    env: str
+    builtin: Any
+    type: type = int
+    minimum: float = 1
+    strict: bool = False
+
+    def default(self) -> Any:
+        """The built-in value (calling ``builtin`` when it is computed)."""
+        return self.builtin() if callable(self.builtin) else self.builtin
+
+    def valid(self, value: Any) -> bool:
+        """Whether ``value`` is an acceptable setting for this knob."""
+        kinds = int if self.type is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            return False
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
+        return value > self.minimum if self.strict else value >= self.minimum
+
+    @property
+    def rule(self) -> str:
+        """:meth:`valid` in words, for error messages."""
+        kind = "an integer" if self.type is int else "a finite number"
+        return f"{kind} {'>' if self.strict else '>='} {self.minimum:g}"
 
 
-def _positive_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _host_cpus() -> int:
+    return os.cpu_count() or 1
 
 
-def _positive_real(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and float(value) > 0.0
-    )
-
-
-#: The knobs a valid artifact may carry: section → name → validator.
-#: Extra sections/names are rejected (a typo'd knob should fail loudly,
-#: not silently fall back to the built-in).
-KNOB_SCHEMA: dict[str, dict[str, Callable[[Any], bool]]] = {
+#: Every performance knob: section → name → :class:`Knob`.  The one
+#: place a knob's env var, built-in and validator are written down;
+#: :func:`resolve_knob`, artifact validation and
+#: :func:`repro.tuning.measure.default_knobs` all read it.  Extra
+#: sections/names in an artifact are rejected (a typo'd knob should fail
+#: loudly, not silently fall back to the built-in).
+KNOB_SCHEMA: dict[str, dict[str, Knob]] = {
     "kernels": {
-        "gemm_crossover": _positive_real,
-        "xor_mt_min_cells": _positive_int,
-        "xor_mt_threads": _positive_int,
-        "cell_budget": _positive_int,
+        "gemm_crossover": Knob("REPRO_KERNEL_CROSSOVER", 16.0, float, 0.0, strict=True),
+        "xor_mt_min_cells": Knob("REPRO_KERNEL_MT_CELLS", 2_000_000),
+        "xor_mt_threads": Knob("REPRO_KERNEL_THREADS", _host_cpus),
+        "cell_budget": Knob("REPRO_KERNEL_BUDGET", 64_000_000),
     },
     "streaming": {
-        "chunk_rows": _positive_int,
+        "chunk_rows": Knob("REPRO_CHUNK_ROWS", 1024),
     },
     "ingest": {
-        "block_rows": _positive_int,
-        "fused_min_rows": _positive_int,
+        "block_rows": Knob("REPRO_INGEST_BLOCK_ROWS", 256),
+        "fused_min_rows": Knob("REPRO_INGEST_FUSED_MIN_ROWS", 32),
     },
     "cluster": {
-        "workers": _positive_int,
+        "workers": Knob("REPRO_CLUSTER_WORKERS", 1),
     },
     "runtime": {
-        "workers": _positive_int,
+        "workers": Knob("REPRO_WORKERS", 1),
     },
     "serve": {
-        "batch_window_ms": _positive_real,
-        "batch_max": _positive_int,
-        "max_queue": _positive_int,
+        "batch_window_ms": Knob("REPRO_SERVE_BATCH_WINDOW_MS", 2.0, float, 0.0),
+        "batch_max": Knob("REPRO_SERVE_BATCH_MAX", 32),
+        "max_queue": Knob("REPRO_SERVE_MAX_QUEUE", 256),
     },
 }
 
@@ -183,15 +222,16 @@ def _validate_payload(payload: Any) -> None:
         if not isinstance(values, dict):
             raise CalibrationError(f"calibration section {section!r} must be an object")
         for name, value in values.items():
-            validator = KNOB_SCHEMA[section].get(name)
-            if validator is None:
+            knob = KNOB_SCHEMA[section].get(name)
+            if knob is None:
                 raise CalibrationError(
                     f"unknown calibration knob {section}.{name} "
                     f"(expected one of {sorted(KNOB_SCHEMA[section])})"
                 )
-            if not validator(value):
+            if not knob.valid(value):
                 raise CalibrationError(
-                    f"calibration knob {section}.{name} has invalid value {value!r}"
+                    f"calibration knob {section}.{name} must be {knob.rule}, "
+                    f"got {value!r}"
                 )
 
 
@@ -272,36 +312,23 @@ def load_calibration(path: Union[str, os.PathLike]) -> Calibration:
 #: Cache of the env-activated artifact: (path, mtime_ns, size) → Calibration.
 _active_cache: dict[tuple[str, int, int], Calibration] = {}
 
-
-#: Memo of fully resolved knob values, keyed by everything the answer
-#: depends on (knob coordinates, raw env string, active artifact).  The
-#: kernel dispatcher resolves knobs on every similarity call, so the
-#: cast/validate work must not be repaid per call.
+#: Memo of resolved knob values, keyed on the knob, the raw strings of
+#: its env var and ``REPRO_CALIBRATION``, and any ``builtin`` override.
+#: The kernel dispatcher resolves knobs on every similarity call, so a
+#: hit must cost two env reads and one dict probe.  An artifact
+#: rewritten *outside* :func:`save_calibration` needs an explicit
+#: :func:`invalidate_cache`.
 _resolved_cache: dict[tuple, Any] = {}
-
-#: Consumer-side memos (see :func:`register_cache`), cleared together
-#: with the caches above.
-_consumer_caches: list[dict] = []
-
-
-def register_cache(cache: dict) -> None:
-    """Register a consumer-side knob memo with the invalidation hooks.
-
-    Hot consumers (the kernel dispatcher) keep their own resolved-knob
-    memo keyed on raw environment strings, cheaper to probe than the
-    full precedence chain.  Registering it here makes
-    :func:`invalidate_cache` (and every :func:`save_calibration`) clear
-    it, so an in-process re-calibration is picked up immediately.
-    """
-    _consumer_caches.append(cache)
 
 
 def invalidate_cache() -> None:
-    """Drop the cached env-activated artifact (tests, hot re-calibration)."""
+    """Drop the cached artifact and every memoised knob value.
+
+    Called by :func:`save_calibration`; call it by hand after editing an
+    active artifact outside this module (tests, hot re-calibration).
+    """
     _active_cache.clear()
     _resolved_cache.clear()
-    for cache in _consumer_caches:
-        cache.clear()
 
 
 def active_calibration() -> Union[Calibration, None]:
@@ -344,65 +371,51 @@ def active_calibration() -> Union[Calibration, None]:
 
 
 def resolve_knob(
-    section: str,
-    name: str,
-    builtin: T,
-    arg: Union[T, None] = None,
-    env_var: Union[str, None] = None,
-    cast: Callable[[str], T] = int,
-    minimum: Union[T, None] = None,
-) -> T:
+    section: str, name: str, arg: Any = None, *, builtin: Any = None
+) -> Any:
     """Resolve one performance knob through the precedence chain.
 
     ``explicit arg > env var > calibration artifact > built-in`` — the
-    one rule every consumer follows, so a knob can always be forced per
-    call (tests), per process (env), per host (artifact) or not at all.
+    one rule every knob follows, so a knob can always be forced per call
+    (tests), per process (env), per host (artifact) or not at all.  The
+    env var, built-in and validator come from the knob's
+    :data:`KNOB_SCHEMA` row; ``builtin`` replaces that row's built-in
+    when given.  An ``arg`` that is not ``None`` is returned as is.  An
+    empty env var counts as unset; a malformed or out-of-range one
+    raises :class:`~repro.exceptions.CalibrationError`.
 
-    Parameters
-    ----------
-    section, name:
-        The knob's coordinates in the artifact (see :data:`KNOB_SCHEMA`).
-    builtin:
-        The built-in default used when nothing else resolves.
-    arg:
-        An explicit caller argument; ``None`` means "not given".
-    env_var:
-        The knob's own environment variable, consulted when set and
-        non-empty.  A malformed value raises
-        :class:`~repro.exceptions.CalibrationError`.
-    cast:
-        Parser for the env string (``int`` or ``float``).
-    minimum:
-        Lower bound enforced on env values.
-
-    >>> resolve_knob("streaming", "chunk_rows", builtin=1024, arg=512)
+    >>> resolve_knob("streaming", "chunk_rows", 512)
     512
-    >>> resolve_knob("streaming", "chunk_rows", builtin=1024)   # no artifact
+    >>> resolve_knob("streaming", "chunk_rows")   # no env, no artifact
     1024
     """
     if arg is not None:
         return arg
-    raw = os.environ.get(env_var) if env_var else None
-    calibration = active_calibration()
-    key = (section, name, env_var, raw, calibration)
-    if key in _resolved_cache:
+    try:
+        knob = KNOB_SCHEMA[section][name]
+    except KeyError:
+        raise CalibrationError(f"unknown performance knob {section}.{name}") from None
+    environ = os.environ
+    raw = environ.get(knob.env)
+    key = (section, name, raw, environ.get(ENV_CALIBRATION), builtin)
+    try:
         return _resolved_cache[key]
+    except KeyError:
+        pass
+    calibration = active_calibration()  # a broken artifact fails loudly
     if raw:
         try:
-            value = cast(raw)
+            value = knob.type(raw)
         except ValueError:
-            raise CalibrationError(
-                f"{env_var} must parse as {cast.__name__}, got {raw!r}"
-            ) from None
-        if minimum is not None and value < minimum:
-            raise CalibrationError(
-                f"{env_var} must be >= {minimum}, got {raw!r}"
-            )
+            value = None
+        if value is None or not knob.valid(value):
+            raise CalibrationError(f"{knob.env} must be {knob.rule}, got {raw!r}")
     elif calibration is not None and calibration.get(section, name) is not None:
-        knob = calibration.get(section, name)
-        value = cast(knob) if not isinstance(knob, bool) else builtin
-    else:
+        value = knob.type(calibration.get(section, name))
+    elif builtin is not None:
         value = builtin
+    else:
+        value = knob.default()
     if len(_resolved_cache) > 128:
         _resolved_cache.clear()
     _resolved_cache[key] = value

@@ -39,17 +39,16 @@ GEMM-losing regime — is returned as a JSON-ready report
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ..hdc import ingest as _ingest
 from ..hdc import kernels as _kernels
-from ..hdc.packed import DEFAULT_CELL_BUDGET, PackedHV, packed_width
-from ..serve import batching as _serve_defaults
-from .calibration import Calibration
+from ..hdc.packed import PackedHV, packed_width
+from .calibration import KNOB_SCHEMA, Calibration
 
 __all__ = ["calibrate", "default_knobs"]
 
@@ -107,30 +106,32 @@ def default_knobs() -> dict:
     """The built-in knob values, in calibration-artifact layout.
 
     What an uncalibrated process effectively runs with — and the
-    fallback any knob the sweep could not improve keeps.
+    fallback any knob the sweep could not improve keeps.  One entry per
+    :data:`~repro.tuning.calibration.KNOB_SCHEMA` row.
 
     >>> default_knobs()["kernels"]["gemm_crossover"]
     16.0
     """
     return {
-        "kernels": {
-            "gemm_crossover": _kernels.AUTO_CROSSOVER,
-            "xor_mt_min_cells": _kernels.XOR_MT_MIN_CELLS,
-            "xor_mt_threads": os.cpu_count() or 1,
-            "cell_budget": DEFAULT_CELL_BUDGET,
-        },
-        "streaming": {"chunk_rows": 1024},
-        "ingest": {
-            "block_rows": _ingest.DEFAULT_BLOCK_ROWS,
-            "fused_min_rows": _ingest.DEFAULT_FUSED_MIN_ROWS,
-        },
-        "runtime": {"workers": 1},
-        "serve": {
-            "batch_window_ms": _serve_defaults.DEFAULT_BATCH_WINDOW_MS,
-            "batch_max": _serve_defaults.DEFAULT_BATCH_MAX,
-            "max_queue": _serve_defaults.DEFAULT_MAX_QUEUE,
-        },
+        section: {name: knob.default() for name, knob in knobs.items()}
+        for section, knobs in KNOB_SCHEMA.items()
     }
+
+
+@contextlib.contextmanager
+def _forced(section: str, **values: object) -> Iterator[None]:
+    """Force knobs of one section through their env vars inside a block."""
+    forced = {KNOB_SCHEMA[section][name].env: str(v) for name, v in values.items()}
+    saved = {env: os.environ.get(env) for env in forced}
+    os.environ.update(forced)
+    try:
+        yield
+    finally:
+        for env, value in saved.items():
+            if value is None:
+                os.environ.pop(env, None)
+            else:
+                os.environ[env] = value
 
 
 def _time(fn: Callable[[], object], repeats: int) -> float:
@@ -241,13 +242,7 @@ def _time_auto(surface: list[dict], dim: int, repeats: int, seed: int,
     per-point optimum.
     """
     rng = np.random.default_rng(seed)  # same stream: same batches
-    overrides = {
-        "REPRO_KERNEL_CROSSOVER": repr(crossover),
-        "REPRO_KERNEL_MT_CELLS": str(min_cells),
-    }
-    saved = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
-    try:
+    with _forced("kernels", gemm_crossover=crossover, xor_mt_min_cells=min_cells):
         for point in surface:
             a = _packed_batch(rng, point["n"], dim)
             b = _packed_batch(rng, point["m"], dim)
@@ -269,12 +264,6 @@ def _time_auto(surface: list[dict], dim: int, repeats: int, seed: int,
             point["auto_seconds"] = auto_s
             point["auto_backend"] = _predicted_backend(point, crossover, min_cells)
             point["auto_over_best"] = round(auto_s / best_s, 3) if best_s else 1.0
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def _sweep_threads(dim: int, repeats: int, seed: int, cpus: int) -> dict:
@@ -431,16 +420,9 @@ def _sweep_ingest(fast: bool, repeats: int) -> dict:
 
     big = Chunk(features=features, targets=labels)
     block_curve = {}
-    saved = os.environ.get(_ingest._ENV_BLOCK_ROWS)
-    try:
-        for block in blocks:
-            os.environ[_ingest._ENV_BLOCK_ROWS] = str(block)
+    for block in blocks:
+        with _forced("ingest", block_rows=block):
             block_curve[str(block)] = _time(lambda: fused_run(big), repeats)
-    finally:
-        if saved is None:
-            os.environ.pop(_ingest._ENV_BLOCK_ROWS, None)
-        else:
-            os.environ[_ingest._ENV_BLOCK_ROWS] = saved
     chosen_block = int(min(block_curve, key=block_curve.get))
     largest = curve[str(max_rows)]
     return {
@@ -562,7 +544,7 @@ def calibrate(
             "gemm_crossover": crossover,
             "xor_mt_min_cells": min_cells,
             "xor_mt_threads": threads["chosen_threads"],
-            "cell_budget": DEFAULT_CELL_BUDGET,
+            "cell_budget": KNOB_SCHEMA["kernels"]["cell_budget"].builtin,
         },
         "streaming": {"chunk_rows": chunks["chosen_chunk_rows"]},
         "ingest": {
@@ -573,7 +555,7 @@ def calibrate(
         "serve": {
             "batch_window_ms": serve["chosen_window_ms"],
             "batch_max": serve["chosen_batch_max"],
-            "max_queue": _serve_defaults.DEFAULT_MAX_QUEUE,
+            "max_queue": KNOB_SCHEMA["serve"]["max_queue"].builtin,
         },
     }
     calibration = Calibration.from_knobs(

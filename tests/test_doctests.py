@@ -1,8 +1,6 @@
-"""Run the documented examples of the public packages' APIs.
+"""Run the documented examples of every module in :mod:`repro`.
 
-Mirrors the CI step ``pytest --doctest-modules src/repro/hdc
-src/repro/runtime src/repro/experiments src/repro/learning
-src/repro/serve src/repro/streaming src/repro/tuning`` inside the
+Mirrors the CI step ``pytest --doctest-modules src/repro`` inside the
 tier-1 suite, so a docstring example can never rot unnoticed even in a
 plain ``pytest`` run.
 """
@@ -15,32 +13,13 @@ import pkgutil
 
 import pytest
 
-import repro.cluster
-import repro.experiments
-import repro.hdc
-import repro.learning
-import repro.runtime
-import repro.serve
-import repro.streaming
-import repro.tuning
-
-PACKAGES = (
-    repro.cluster,
-    repro.hdc,
-    repro.runtime,
-    repro.experiments,
-    repro.learning,
-    repro.serve,
-    repro.streaming,
-    repro.tuning,
-)
+import repro
 
 
 def _iter_modules():
-    for package in PACKAGES:
-        yield package.__name__
-        for info in pkgutil.iter_modules(package.__path__):
-            yield f"{package.__name__}.{info.name}"
+    yield repro.__name__
+    for info in pkgutil.walk_packages(repro.__path__, prefix=f"{repro.__name__}."):
+        yield info.name
 
 
 @pytest.mark.parametrize("module_name", sorted(_iter_modules()))

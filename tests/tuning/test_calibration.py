@@ -10,19 +10,55 @@ precedence chain *explicit arg > env var > artifact > built-in*.
 from __future__ import annotations
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.exceptions import CalibrationError
+from repro.cluster import default_cluster_workers
+from repro.exceptions import CalibrationError, InvalidParameterError
+from repro.hdc.ingest import ingest_block_rows, ingest_fused_min_rows, use_fused
+from repro.hdc.kernels import cell_budget, kernel_threads, use_gemm, use_xor_mt
+from repro.runtime import default_workers
+from repro.serve.batching import (
+    default_batch_max,
+    default_batch_window_ms,
+    default_max_queue,
+)
+from repro.streaming import default_chunk_rows
 from repro.tuning import (
+    KNOB_SCHEMA,
     SCHEMA_VERSION,
     Calibration,
     active_calibration,
+    default_knobs,
     invalidate_cache,
     load_calibration,
     resolve_knob,
     save_calibration,
 )
+from repro.tuning import calibration as _calibration
+
+#: Every knob as ``(section, name)``, in table order.
+ALL_KNOBS = [(section, name) for section in KNOB_SCHEMA for name in KNOB_SCHEMA[section]]
+
+#: ``(section, name, value)`` triples the knob's validator must reject,
+#: whether the value comes from its env var or from an artifact.
+BAD_VALUES = [
+    ("kernels", "gemm_crossover", -1.0),
+    ("kernels", "gemm_crossover", 0.0),
+    ("kernels", "gemm_crossover", math.nan),
+    ("kernels", "gemm_crossover", math.inf),
+    ("serve", "batch_window_ms", -0.5),
+    ("serve", "batch_window_ms", math.nan),
+    ("serve", "batch_window_ms", math.inf),
+] + [
+    (section, name, bad)
+    for section, name in ALL_KNOBS
+    if KNOB_SCHEMA[section][name].type is int
+    for bad in (0, -3)
+]
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +132,36 @@ class TestValidation:
         with pytest.raises(CalibrationError):
             Calibration.from_knobs({"streaming": {"chunk_rows": value}})
 
+    @pytest.mark.parametrize("section, name, value", BAD_VALUES)
+    def test_artifact_rejects_what_the_validator_rejects(self, section, name, value):
+        with pytest.raises(CalibrationError, match=f"{section}.{name}"):
+            Calibration.from_knobs({section: {name: value}})
+
+    @pytest.mark.parametrize("section, name, value", BAD_VALUES)
+    def test_env_rejects_what_the_validator_rejects(self, monkeypatch, section, name, value):
+        knob = KNOB_SCHEMA[section][name]
+        monkeypatch.setenv(knob.env, str(value))
+        with pytest.raises(CalibrationError, match=knob.env):
+            resolve_knob(section, name)
+
+    def test_negative_crossover_env_is_rejected_by_use_gemm(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "-1")
+        with pytest.raises(CalibrationError):
+            use_gemm(1, 1000, 10_000)
+
+    def test_zero_batch_window_accepted_from_both_sources(self, tmp_path, monkeypatch):
+        path = save_calibration(
+            Calibration.from_knobs({"serve": {"batch_window_ms": 0}}),
+            tmp_path / "calibration.json",
+        )
+        monkeypatch.setenv("REPRO_CALIBRATION", str(path))
+        assert default_batch_window_ms() == 0.0
+        monkeypatch.setenv("REPRO_SERVE_BATCH_WINDOW_MS", "0")
+        assert default_batch_window_ms() == 0.0
+
+    def test_calibration_error_is_an_invalid_parameter_error(self):
+        assert issubclass(CalibrationError, InvalidParameterError)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "calibration.json"
         path.write_text('{"schema": 1, "knobs": {')
@@ -145,9 +211,7 @@ class TestPrecedence:
     ENV = "REPRO_CHUNK_ROWS"
 
     def _resolve(self, **kwargs):
-        return resolve_knob(
-            "streaming", "chunk_rows", builtin=1024, env_var=self.ENV, **kwargs
-        )
+        return resolve_knob("streaming", "chunk_rows", **kwargs)
 
     def _activate(self, tmp_path, monkeypatch, chunk_rows):
         path = save_calibration(
@@ -173,21 +237,37 @@ class TestPrecedence:
         monkeypatch.setenv(self.ENV, "512")
         assert self._resolve(arg=64) == 64
 
-    @pytest.mark.parametrize("raw", ["lots", "1.5", ""])
-    def test_malformed_env_raises_or_is_ignored(self, monkeypatch, raw):
-        monkeypatch.setenv(self.ENV, raw)
+    @pytest.mark.parametrize(
+        "section, name, raw",
+        [
+            ("streaming", "chunk_rows", "lots"),
+            ("streaming", "chunk_rows", "1.5"),
+            ("streaming", "chunk_rows", ""),
+            ("kernels", "cell_budget", ""),
+        ],
+    )
+    def test_malformed_env_raises_or_is_ignored(self, monkeypatch, section, name, raw):
+        knob = KNOB_SCHEMA[section][name]
+        monkeypatch.setenv(knob.env, raw)
         if raw:
             with pytest.raises(CalibrationError):
-                self._resolve()
+                resolve_knob(section, name)
         else:  # empty string means unset
-            assert self._resolve() == 1024
+            assert resolve_knob(section, name) == knob.default()
 
     def test_env_below_minimum_raises(self, monkeypatch):
         monkeypatch.setenv(self.ENV, "0")
         with pytest.raises(CalibrationError):
-            resolve_knob(
-                "streaming", "chunk_rows", builtin=1024, env_var=self.ENV, minimum=1
-            )
+            self._resolve()
+
+    def test_builtin_override_is_only_the_last_resort(self, tmp_path, monkeypatch):
+        assert self._resolve(builtin=7) == 7
+        self._activate(tmp_path, monkeypatch, 256)
+        assert self._resolve(builtin=7) == 256
+
+    def test_unknown_knob_raises(self):
+        with pytest.raises(CalibrationError, match="warp_factor"):
+            resolve_knob("kernels", "warp_factor")
 
     def test_env_change_takes_effect_immediately(self, monkeypatch):
         monkeypatch.setenv(self.ENV, "128")
@@ -196,8 +276,27 @@ class TestPrecedence:
         assert self._resolve() == 2048  # resolved-knob memo keys on the raw value
 
 
+#: The public accessor of each knob.  ``cell_budget`` takes no argument;
+#: the two dispatch thresholds are read through :func:`resolve_knob`
+#: (their consumers are the ``use_gemm`` / ``use_xor_mt`` predicates).
+ACCESSORS = {
+    ("kernels", "gemm_crossover"): lambda *a: resolve_knob("kernels", "gemm_crossover", *a),
+    ("kernels", "xor_mt_min_cells"): lambda *a: resolve_knob("kernels", "xor_mt_min_cells", *a),
+    ("kernels", "xor_mt_threads"): kernel_threads,
+    ("kernels", "cell_budget"): cell_budget,
+    ("streaming", "chunk_rows"): default_chunk_rows,
+    ("ingest", "block_rows"): ingest_block_rows,
+    ("ingest", "fused_min_rows"): ingest_fused_min_rows,
+    ("cluster", "workers"): default_cluster_workers,
+    ("runtime", "workers"): default_workers,
+    ("serve", "batch_window_ms"): default_batch_window_ms,
+    ("serve", "batch_max"): default_batch_max,
+    ("serve", "max_queue"): default_max_queue,
+}
+
+
 class TestConsumers:
-    """The knob owners resolve through the artifact end to end."""
+    """Every knob's public accessor follows built-in → artifact → env → arg."""
 
     def _activate(self, tmp_path, monkeypatch, knobs):
         path = save_calibration(
@@ -205,34 +304,24 @@ class TestConsumers:
         )
         monkeypatch.setenv("REPRO_CALIBRATION", str(path))
 
-    def test_chunk_rows_consumer(self, tmp_path, monkeypatch):
-        from repro.streaming import default_chunk_rows
+    def test_every_knob_has_an_accessor(self):
+        assert sorted(ACCESSORS) == sorted(ALL_KNOBS)
 
-        assert default_chunk_rows() == 1024
-        self._activate(tmp_path, monkeypatch, {"streaming": {"chunk_rows": 200}})
-        assert default_chunk_rows() == 200
-        assert default_chunk_rows(77) == 77  # explicit arg still wins
-
-    def test_workers_consumer(self, tmp_path, monkeypatch):
-        from repro.runtime import default_workers
-
-        assert default_workers() == 1
-        self._activate(tmp_path, monkeypatch, {"runtime": {"workers": 2}})
-        assert default_workers() == 2
-        assert default_workers(3) == 3
-
-    def test_cell_budget_consumer(self, tmp_path, monkeypatch):
-        from repro.hdc.kernels import DEFAULT_CELL_BUDGET, cell_budget
-
-        assert cell_budget() == DEFAULT_CELL_BUDGET
-        self._activate(tmp_path, monkeypatch, {"kernels": {"cell_budget": 1_000_000}})
-        assert cell_budget() == 1_000_000
-        monkeypatch.setenv("REPRO_KERNEL_BUDGET", "2000000")
-        assert cell_budget() == 2_000_000  # env still beats the artifact
+    @pytest.mark.parametrize("section, name", ALL_KNOBS)
+    def test_precedence_through_the_accessor(self, tmp_path, monkeypatch, section, name):
+        knob = KNOB_SCHEMA[section][name]
+        accessor = ACCESSORS[section, name]
+        artifact, env, arg = (knob.type(v) for v in (7, 5, 3))
+        monkeypatch.delenv(knob.env, raising=False)
+        assert accessor() == knob.default()
+        self._activate(tmp_path, monkeypatch, {section: {name: artifact}})
+        assert accessor() == artifact
+        monkeypatch.setenv(knob.env, str(env))
+        assert accessor() == env
+        if name != "cell_budget":  # the budget has no per-call argument
+            assert accessor(arg) == arg
 
     def test_kernel_thresholds_consumer(self, tmp_path, monkeypatch):
-        from repro.hdc.kernels import use_gemm, use_xor_mt
-
         self._activate(
             tmp_path,
             monkeypatch,
@@ -243,44 +332,54 @@ class TestConsumers:
         monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "1000000")
         assert not use_gemm(4, 4, 64)
 
-    def test_kernel_threads_consumer(self, tmp_path, monkeypatch):
-        from repro.hdc.kernels import kernel_threads
-
-        self._activate(tmp_path, monkeypatch, {"kernels": {"xor_mt_threads": 5}})
-        assert kernel_threads() == 5
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
-        assert kernel_threads() == 2
-        assert kernel_threads(9) == 9
-
     def test_ingest_knobs_consumer(self, tmp_path, monkeypatch):
-        from repro.hdc.ingest import (
-            DEFAULT_BLOCK_ROWS,
-            DEFAULT_FUSED_MIN_ROWS,
-            ingest_block_rows,
-            ingest_fused_min_rows,
-            use_fused,
-        )
-
-        assert ingest_block_rows() == DEFAULT_BLOCK_ROWS
-        assert ingest_fused_min_rows() == DEFAULT_FUSED_MIN_ROWS
-        self._activate(
-            tmp_path,
-            monkeypatch,
-            {"ingest": {"block_rows": 96, "fused_min_rows": 7}},
-        )
-        assert ingest_block_rows() == 96
-        assert ingest_fused_min_rows() == 7
+        self._activate(tmp_path, monkeypatch, {"ingest": {"fused_min_rows": 7}})
         assert use_fused(7) and not use_fused(6)
-        monkeypatch.setenv("REPRO_INGEST_BLOCK_ROWS", "48")
-        assert ingest_block_rows() == 48  # env still beats the artifact
-        assert ingest_block_rows(13) == 13  # explicit arg beats everything
+
+
+class TestDefaultKnobs:
+    def test_default_knobs_cover_every_knob_and_validate(self):
+        knobs = default_knobs()
+        assert sorted((s, n) for s in knobs for n in knobs[s]) == sorted(ALL_KNOBS)
+        assert Calibration.from_knobs(knobs).knobs == knobs
+
+    def test_default_knobs_are_what_an_uncalibrated_process_resolves(self):
+        for (section, name), accessor in ACCESSORS.items():
+            assert accessor() == default_knobs()[section][name], (section, name)
+
+
+class TestSchemaDocs:
+    """The knob table in ``docs/PERFORMANCE.md`` is the schema, in prose."""
+
+    DOC = Path(__file__).resolve().parents[2] / "docs" / "PERFORMANCE.md"
+
+    def _rows(self):
+        rows = {}
+        pattern = re.compile(r"^\|\s*`(\w+)`\s*\|\s*`(\w+)`\s*\|\s*`(REPRO_\w+)`\s*\|([^|]*)\|")
+        for line in self.DOC.read_text(encoding="utf-8").splitlines():
+            match = pattern.match(line)
+            if match:
+                section, name, env, builtin = match.groups()
+                rows[section, name] = (env, builtin.strip())
+        return rows
+
+    def test_performance_md_knob_table_matches_schema(self):
+        rows = self._rows()
+        assert sorted(rows) == sorted(ALL_KNOBS)
+        for (section, name), (env, builtin) in rows.items():
+            knob = KNOB_SCHEMA[section][name]
+            assert env == knob.env, (section, name)
+            if callable(knob.builtin):
+                assert builtin == "CPU count", (section, name)
+            else:
+                assert float(builtin.replace(" ", "")) == knob.builtin, (section, name)
 
 
 class TestIngestKnobCacheInvalidation:
     """The memoised ``ingest.*`` knobs never serve a stale artifact.
 
-    The ingest tier memoises its resolved ``(block_rows,
-    fused_min_rows)`` pair for hot-loop dispatch, so the memo must be
+    The resolver memoises every resolved knob for hot-loop dispatch
+    (one memo, keyed on raw env strings), so the memo must be
     dropped whenever the active calibration can have changed: an
     explicit ``invalidate_cache()``, an in-process ``save_calibration``
     (re-calibration), or the process flipping ``REPRO_CALIBRATION`` to a
@@ -327,7 +426,7 @@ class TestIngestKnobCacheInvalidation:
         path = self._artifact(tmp_path, "calibration.json", 55)
         monkeypatch.setenv("REPRO_CALIBRATION", str(path))
         assert ingest.ingest_fused_min_rows() == 55
-        assert ingest._knob_memo  # warmed
+        assert _calibration._resolved_cache  # warmed
         invalidate_cache()
-        assert not ingest._knob_memo
+        assert not _calibration._resolved_cache
         assert ingest.ingest_fused_min_rows() == 55  # re-resolves cleanly
