@@ -13,7 +13,7 @@ Usage::
         [--stream-samples N] [--chunk-size C] [--checkpoint CKPT.npz] \\
         [--cluster-workers N] [--resume] \\
         [--input DATA.jsonl|DATA.csv|DATA.npy] \\
-        [--ingest-kernel auto|ref|fused|numba]
+        [--ingest-kernel auto|ref|fused]
     python -m repro.experiments serve --model model.npz [--input -]
     python -m repro.experiments serve --model model.npz --stream \\
         [--checkpoint CKPT.npz] [--checkpoint-every N]
@@ -693,7 +693,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "1 = in-process); the final model is "
                                 "bit-identical for any value")
     streaming.add_argument("--ingest-kernel",
-                           choices=["auto", "ref", "fused", "numba"],
+                           choices=["auto", "ref", "fused"],
                            default=None,
                            help="ingest kernel backend for `train --stream` "
                                 "reduction (default: REPRO_INGEST_KERNEL env "

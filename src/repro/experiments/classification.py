@@ -29,7 +29,6 @@ from ..basis import CircularDiscretizer, Embedding, LinearDiscretizer, make_basi
 from ..datasets import JIGSAWS_TASKS, ClassificationSplit, make_jigsaws_like
 from ..exceptions import InvalidParameterError
 from ..hdc.hypervector import random_hypervectors
-from ..hdc.encoders import encode_keyvalue_records
 from ..learning.classifier import CentroidClassifier
 from ..runtime import (
     ArtifactStore,
@@ -100,6 +99,10 @@ def encode_angular_records(
 
     ``keys`` holds one random hypervector per channel; every channel
     shares the value embedding (all channels live on the same circle).
+    Encodes through :class:`~repro.runtime.batch.BatchEncoder`, so the
+    output is bit-identical to
+    :func:`repro.hdc.encoders.encode_keyvalue_records` at the same
+    ``chunk_size`` and seed.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -108,10 +111,7 @@ def encode_angular_records(
         raise InvalidParameterError(
             f"got {keys.shape[0]} keys for {features.shape[1]} channels"
         )
-    indices = embedding.indices(features.ravel()).reshape(features.shape)
-    return encode_keyvalue_records(
-        keys, indices, embedding.basis.vectors, tie_break=tie_break, seed=seed
-    )
+    return BatchEncoder(keys, embedding, tie_break).encode(features, seed=seed)
 
 
 def run_classification(

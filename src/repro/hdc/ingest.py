@@ -2,49 +2,35 @@
 
 Streaming training (``encode_reduce`` → ``partial_fit``) is one logical
 computation — *gather fused-table bits, threshold to a hypervector,
-count one-bits per class* — but the reference path pays the numpy
-temporary tax three times per chunk: the ``(rows, k, d)`` gather cube
-inside :meth:`~repro.runtime.batch.BatchEncoder.chunk_counts`, the
-packed encoded batch materialised by ``stream_encode``, and the
-chunked *unpack* of that same batch inside
+count one-bits per class* — but the reference path materialises two
+temporaries per chunk on the way: the packed encoded batch built by
+``stream_encode``, and the chunked *unpack* of that same batch inside
 :meth:`~repro.hdc.packed.BundleAccumulator.add`.  This module provides
-pluggable, bit-identity-tested backends for the whole pipeline stage,
-mirroring the similarity-kernel tier of :mod:`repro.hdc.kernels`:
+two bit-identity-tested backends for the whole pipeline stage:
 
 * ``"ref"`` — the reference path: encode the chunk, hand the encoded
   batch to the model's canonical ``partial_fit``.  Selecting it makes
   every dispatch site fall back to exactly the code that ran before
   this tier existed.
-* ``"fused"`` — stream row blocks through **preallocated per-thread
-  scratch** (the xor-mt idiom): per channel, ``np.take`` gathers the
-  fused-table rows straight into a reused ``(block, d)`` buffer and
-  adds them in place into an int16 count block (int16 is safe whenever
-  the reference encoder uses it — counts are bounded by the channel
-  count), the block is thresholded with the same position-keyed tie
+* ``"fused"`` — walk the chunk in row blocks: the block's one-bit
+  counts come from the one count kernel,
+  :meth:`~repro.runtime.batch.BatchEncoder.chunk_counts`, written into
+  one reused count buffer; the block is thresholded with the same tie
   coins, and the resulting bits are counted per class directly into
-  the model's :class:`~repro.hdc.packed.BundleAccumulator` integers
-  via :meth:`~repro.hdc.packed.BundleAccumulator.add_counts`.  No
-  gather cube, no encoded batch, no pack/unpack round trip.
-* ``"numba"`` — the fused gather+accumulate inner loop compiled by
-  numba, when numba is importable (:data:`HAVE_NUMBA`).  Detected at
-  import, never selected by ``"auto"``, never required by the test
-  suite: requesting it without numba raises
-  :class:`~repro.exceptions.InvalidParameterError`, and the exactness
-  tests skip cleanly.  Thresholding and class accumulation stay in
-  numpy so the JIT surface is the provably order-free integer sum.
+  the model's :class:`~repro.hdc.packed.BundleAccumulator` integers via
+  :meth:`~repro.hdc.packed.BundleAccumulator.add_counts`.  No encoded
+  batch, no pack/unpack round trip.
 
-Every backend is **bit-identical** to a monolithic ``fit`` — including
+Both backends are **bit-identical** to a monolithic ``fit`` — including
 the positional tie-bit RNG draws of the ``"random"`` policy and the
 model's untouched tie-break RNG — for any chunk size, block size,
-thread count, and packed or unpacked encode, enforced by the property
+worker count, and packed or unpacked encode, enforced by the property
 tests in ``tests/hdc/test_ingest.py``.
 
-Backend selection follows the kernel tier's precedence: an explicit
-``backend=``/``ingest=`` argument wins, then the
-``REPRO_INGEST_KERNEL`` environment variable, then ``"auto"``.
+Backend selection: an explicit ``backend=``/``ingest=`` argument wins,
+then the ``REPRO_INGEST_KERNEL`` environment variable, then ``"auto"``.
 ``"auto"`` takes the fused path once the chunk holds at least
-``ingest.fused_min_rows`` rows (below it, the per-channel dispatch
-overhead can exceed the temporary tax) and the block size streams
+``ingest.fused_min_rows`` rows, and the fused path thresholds
 ``ingest.block_rows`` rows at a time; both knobs resolve through
 :func:`repro.tuning.calibration.resolve_knob` (env var >
 ``REPRO_CALIBRATION`` artifact > built-in) and are measured by
@@ -54,7 +40,6 @@ overhead can exceed the temporary tax) and the block size streams
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -63,15 +48,13 @@ import numpy as np
 from .._rng import ensure_rng
 from ..exceptions import DimensionMismatchError, InvalidParameterError
 from ..tuning.calibration import KNOB_SCHEMA, resolve_knob
-from .kernels import kernel_threads
 from .ops import majority_from_counts
-from .packed import BundleAccumulator, cell_budget
+from .packed import BundleAccumulator
 
 __all__ = [
     "INGEST_BACKENDS",
     "DEFAULT_BLOCK_ROWS",
     "DEFAULT_FUSED_MIN_ROWS",
-    "HAVE_NUMBA",
     "EngineEncode",
     "ingest_block_rows",
     "ingest_chunk",
@@ -83,38 +66,21 @@ __all__ = [
 ]
 
 #: The selectable ingest backends (``"auto"`` picks ``ref``/``fused``
-#: on the measured row crossover; ``"numba"`` is strictly opt-in).
-INGEST_BACKENDS = ("auto", "ref", "fused", "numba")
+#: on the measured row crossover).
+INGEST_BACKENDS = ("auto", "ref", "fused")
 
 #: Environment variable selecting the default ingest backend.
 _ENV_BACKEND = "REPRO_INGEST_KERNEL"
 
-#: Rows per fused threshold block.  Bounds the transient count block at
-#: ``block · d`` int16 cells; big enough to amortise the per-channel
-#: gather dispatch, small enough to stay cache-friendly.  Calibration
-#: knob: ``ingest.block_rows``.
+#: Rows per fused threshold block.  Bounds the reused count buffer at
+#: ``block · d`` int16 cells.  Calibration knob: ``ingest.block_rows``.
 DEFAULT_BLOCK_ROWS = KNOB_SCHEMA["ingest"]["block_rows"].builtin
 
 #: ``"auto"`` takes the fused path once a chunk holds at least this
-#: many rows; tinier chunks stay on ``ref`` (the per-channel python
-#: dispatch dominates below it).  Calibration knob:
+#: many rows; tinier chunks stay on ``ref`` (below it the per-block
+#: bookkeeping outweighs the temporaries saved).  Calibration knob:
 #: ``ingest.fused_min_rows``.
 DEFAULT_FUSED_MIN_ROWS = KNOB_SCHEMA["ingest"]["fused_min_rows"].builtin
-
-#: Cap, in uint8 cells, on each thread's preallocated gather scratch
-#: (1 MiB) — the same cache-residency reasoning as the xor-mt block.
-_INGEST_BLOCK_CELLS = 1 << 20
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except Exception:  # ImportError, or a broken install
-    _numba = None
-
-#: True when the optional numba JIT backend is importable on this host.
-HAVE_NUMBA = _numba is not None
-
-#: Lazily compiled numba kernel (compile on first use, not at import).
-_numba_counts = None
 
 
 def resolve_ingest_backend(backend: Union[str, None] = None) -> str:
@@ -122,9 +88,8 @@ def resolve_ingest_backend(backend: Union[str, None] = None) -> str:
 
     ``None`` falls back to the ``REPRO_INGEST_KERNEL`` environment
     variable and then to ``"auto"``.  Unknown names raise
-    :class:`~repro.exceptions.InvalidParameterError`, as does requesting
-    ``"numba"`` on a host where numba is not importable — a forced
-    backend must never silently degrade.
+    :class:`~repro.exceptions.InvalidParameterError` — a forced backend
+    must never silently degrade.
 
     >>> resolve_ingest_backend("fused")
     'fused'
@@ -136,11 +101,6 @@ def resolve_ingest_backend(backend: Union[str, None] = None) -> str:
     if backend not in INGEST_BACKENDS:
         raise InvalidParameterError(
             f"ingest backend must be one of {INGEST_BACKENDS}, got {backend!r}"
-        )
-    if backend == "numba" and not HAVE_NUMBA:
-        raise InvalidParameterError(
-            "ingest backend 'numba' was requested but numba is not "
-            "importable on this host"
         )
     return backend
 
@@ -216,83 +176,6 @@ class EngineEncode:
 
 
 # ---------------------------------------------------------------------------
-# The fused count kernel: gather + accumulate without the (rows, k, d) cube.
-# ---------------------------------------------------------------------------
-
-
-def _numba_kernel():
-    """Compile (once) and return the numba gather+accumulate loop."""
-    global _numba_counts
-    if _numba_counts is None:  # pragma: no cover - needs numba installed
-        @_numba.njit(cache=False)
-        def kernel(fused, idx, out):
-            rows, k = idx.shape
-            d = fused.shape[2]
-            for r in range(rows):
-                for c in range(k):
-                    row = fused[c, idx[r, c]]
-                    for j in range(d):
-                        out[r, j] += row[j]
-
-        _numba_counts = kernel
-    return _numba_counts
-
-
-def _count_span(fused, idx, counts, lo: int, hi: int, gather_rows: int) -> None:
-    """Accumulate fused-table bit counts for rows ``[lo, hi)`` in place.
-
-    The per-thread unit of the fused backend: allocates its gather
-    scratch *inside* the span (one ``(gather_rows, d)`` uint8 buffer,
-    reused across sub-blocks and channels — the xor-mt discipline), and
-    writes only its own disjoint ``counts`` rows, so spans compose
-    bit-identically for any thread count (integer sums commute).
-    """
-    k = idx.shape[1]
-    d = fused.shape[2]
-    counts[lo:hi] = 0
-    buf = np.empty((min(gather_rows, hi - lo), d), dtype=fused.dtype)
-    for sub_lo in range(lo, hi, gather_rows):
-        sub_hi = min(hi, sub_lo + gather_rows)
-        view = buf[: sub_hi - sub_lo]
-        block = counts[sub_lo:sub_hi]
-        for channel in range(k):
-            np.take(fused[channel], idx[sub_lo:sub_hi, channel], axis=0, out=view)
-            np.add(block, view, out=block)
-
-
-def _fused_counts(encoder, idx: np.ndarray, counts: np.ndarray, jit: bool) -> None:
-    """Per-dimension one-bit counts for ``idx`` rows, into ``counts``.
-
-    Bit-identical to ``encoder.chunk_counts(idx)`` (0/1 cells summed in
-    the same integer dtype; summation order is irrelevant for exact
-    integer addition) without materialising the ``(rows, k, d)`` cube.
-    """
-    n = idx.shape[0]
-    d = encoder.dim
-    if jit:
-        counts[:n] = 0
-        _numba_kernel()(encoder._fused, np.ascontiguousarray(idx), counts[:n])
-        return
-    nthreads = min(kernel_threads(), max(1, n // 2))
-    budget = min(_INGEST_BLOCK_CELLS, max(1, cell_budget() // max(1, nthreads)))
-    gather_rows = max(1, budget // max(1, d))
-    if nthreads <= 1 or n < 2 * gather_rows:
-        _count_span(encoder._fused, idx, counts, 0, n, gather_rows)
-        return
-    bounds = [n * i // nthreads for i in range(nthreads + 1)]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [
-            pool.submit(
-                _count_span, encoder._fused, idx, counts, lo, hi, gather_rows
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for future in futures:
-            future.result()
-
-
-# ---------------------------------------------------------------------------
 # Model-facing ingest drivers (classifier and regressor).
 # ---------------------------------------------------------------------------
 
@@ -304,13 +187,15 @@ def _normalise_labels(targets) -> list:
     return list(targets)
 
 
-def _classifier_blocks(model, encoder, features, labels, semantics, seed, start, jit):
+def _classifier_blocks(model, encoder, features, labels, semantics, seed, start):
     """Yield ``(label, counts64, total)`` deltas block by block, in order.
 
     The shared core of the in-place model ingest and the pure cluster
     shard: encode-equivalent bits are produced per block and reduced to
-    per-class integer count deltas immediately, so neither the encoded
-    batch nor the gather cube ever exists.  Blocks are yielded serially
+    per-class integer count deltas immediately, so the encoded batch
+    never exists and one count buffer serves every block.  The counts
+    come from :meth:`~repro.runtime.batch.BatchEncoder.chunk_counts`,
+    the kernel every other keyed encode uses.  Blocks are yielded serially
     in row order — first-seen label order over ordered blocks equals
     the monolithic first-seen order, which pins class insertion order.
     """
@@ -332,7 +217,7 @@ def _classifier_blocks(model, encoder, features, labels, semantics, seed, start,
     for lo in range(0, n, block):
         hi = min(n, lo + block)
         view = counts[: hi - lo]
-        _fused_counts(encoder, idx[lo:hi], view, jit)
+        encoder.chunk_counts(idx[lo:hi], out=view)
         if semantics == "engine":
             bits = majority_from_counts(
                 view, encoder.num_channels, tie_break=encoder.tie_break, seed=rng
@@ -407,14 +292,10 @@ def _regressor_plan(model, encode):
     return embedding, int(column)
 
 
-def _select(rows: int, backend: Union[str, None]) -> Union[str, None]:
-    """Resolve the backend for a ``rows``-row unit; ``None`` means ref."""
+def _fuse(rows: int, backend: Union[str, None]) -> bool:
+    """Whether a ``rows``-row unit takes the fused path (else ref)."""
     name = resolve_ingest_backend(backend)
-    if name == "ref":
-        return None
-    if name == "auto":
-        return "fused" if use_fused(rows) else None
-    return name
+    return name == "fused" or (name == "auto" and use_fused(rows))
 
 
 def ingest_chunk(model, chunk, encode, backend: Union[str, None] = None) -> bool:
@@ -432,16 +313,14 @@ def ingest_chunk(model, chunk, encode, backend: Union[str, None] = None) -> bool
     rows = int(getattr(chunk, "rows", 0))
     if rows <= 0:
         return False
-    name = _select(rows, backend)
-    if name is None:
+    if not _fuse(rows, backend):
         return False
-    jit = name == "numba"
     plan = _classifier_plan(model, encode)
     if plan is not None:
         encoder, semantics, seed = plan
         labels = _normalise_labels(chunk.targets)
         for deltas in _classifier_blocks(
-            model, encoder, chunk.features, labels, semantics, seed, chunk.start, jit
+            model, encoder, chunk.features, labels, semantics, seed, chunk.start
         ):
             model.ingest_counts(deltas)
         return True
@@ -471,17 +350,15 @@ def shard_ingest(proto, chunk, encode, backend: Union[str, None] = None):
     rows = int(getattr(chunk, "rows", 0))
     if rows <= 0:
         return None
-    name = _select(rows, backend)
-    if name is None:
+    if not _fuse(rows, backend):
         return None
-    jit = name == "numba"
     plan = _classifier_plan(proto, encode)
     if plan is not None:
         encoder, semantics, seed = plan
         labels = _normalise_labels(chunk.targets)
         shard: dict = {}
         for deltas in _classifier_blocks(
-            proto, encoder, chunk.features, labels, semantics, seed, chunk.start, jit
+            proto, encoder, chunk.features, labels, semantics, seed, chunk.start
         ):
             for label, counts, total in deltas:
                 if label not in shard:
@@ -516,14 +393,11 @@ def learn_fused(
     rows = batch.shape[0] if batch.ndim == 2 else 0
     if rows <= 0:
         return False
-    name = _select(rows, backend)
-    if name is None:
+    if not _fuse(rows, backend):
         return False
     if not hasattr(model, "ingest_counts") or not hasattr(model, "_label_masks"):
         return False
     labels = _normalise_labels(targets)
-    for deltas in _classifier_blocks(
-        model, encoder, batch, labels, "engine", seed, 0, name == "numba"
-    ):
+    for deltas in _classifier_blocks(model, encoder, batch, labels, "engine", seed, 0):
         model.ingest_counts(deltas)
     return True

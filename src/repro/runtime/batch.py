@@ -8,7 +8,9 @@ not give on their own:
 
 * **fused tables** — the ``K_i ⊗ B_m`` bindings are precomputed once per
   encoder into a ``(k, m, d)`` table, so encoding a chunk is a pure
-  gather + integer sum with no per-sample XOR pass;
+  gather + integer sum with no per-sample XOR pass, walked in row blocks
+  of about 1 MiB (:meth:`BatchEncoder.chunk_counts`, the one count
+  kernel every keyed encode and the fused ingest tier share);
 * **chunk-parallel counts** — the per-chunk bit-count phase is pure
   (no RNG), so chunks can run on a :class:`~repro.runtime.pool.WorkerPool`
   while the tie-breaking threshold runs serially over chunks in a fixed
@@ -50,6 +52,12 @@ from .pool import WorkerPool
 
 __all__ = ["BatchEncoder"]
 
+#: Cap, in uint8 cells, on one gather block of
+#: :meth:`BatchEncoder.chunk_counts` (1 MiB): the ``(rows, k, d)``
+#: gather of a whole chunk is cut into blocks of at most this many cells
+#: so it stays cache-resident whatever the chunk size.
+CELLS = 1 << 20
+
 
 class BatchEncoder:
     """Vectorised key–value record encoder over whole splits.
@@ -65,8 +73,8 @@ class BatchEncoder:
     tie_break:
         Majority tie policy; see :func:`repro.hdc.ops.majority_from_counts`.
     chunk_size:
-        Records per chunk.  Bounds the transient gather at roughly
-        ``chunk_size * k * d`` bytes and fixes the RNG consumption
+        Records per chunk.  Bounds the transient count buffer at
+        ``chunk_size * d`` cells and fixes the RNG consumption
         pattern of the ``"random"`` tie policy — results depend on
         ``chunk_size`` (through tie draws) but **not** on the worker
         count.
@@ -129,9 +137,7 @@ class BatchEncoder:
         """Narrowest integer dtype that safely holds per-bit counts.
 
         Counts are bounded by the channel count ``k``, so int16 is exact
-        for every realistic encoder; the fused ingest tier
-        (:mod:`repro.hdc.ingest`) relies on this being the *same* dtype
-        :meth:`chunk_counts` reduces in, keeping both paths bit-aligned.
+        for every realistic encoder.
         """
         return np.int16 if self.num_channels <= 16_000 else np.int64
 
@@ -150,16 +156,34 @@ class BatchEncoder:
             )
         return self.embedding.indices(features.ravel()).reshape(features.shape)
 
-    def chunk_counts(self, indices_chunk: np.ndarray) -> np.ndarray:
+    def chunk_counts(
+        self, indices_chunk: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Per-dimension one-bit counts for one chunk of index rows.
 
-        Pure (no RNG, no state mutation) — this is the unit of parallel
-        work.  ``counts[t] = Σ_i bits(K_i ⊗ B[idx[t, i]])``.  Counts are
-        accumulated in the narrowest safe integer type (``k`` bounds
-        them), which roughly quarters the reduction's memory traffic.
+        The one count kernel: every keyed encode (batch, single record,
+        streamed and fused ingest) sums fused-table bits here.  Pure (no
+        RNG, no state mutation) — this is the unit of parallel work.
+        ``counts[t] = Σ_i bits(K_i ⊗ B[idx[t, i]])``.  Rows are walked in
+        blocks of ``max(1, CELLS // (k·d))`` so each fancy-index gather
+        stays about 1 MiB, and each block is summed along the channel
+        axis into ``out[lo:hi]``.  ``k`` bounds the counts, so for
+        ``k ≤ 255`` the sum runs uint8 → uint8 (a same-type reduction,
+        about a third cheaper than summing into int16) and widens once
+        on the store.  ``out`` is an ``(n, d)`` :attr:`count_dtype`
+        buffer, allocated when ``None``; it is returned.
         """
-        gathered = self._fused[self._channel_index[None, :], indices_chunk]
-        return gathered.sum(axis=1, dtype=self.count_dtype)
+        n = indices_chunk.shape[0]
+        k = self.num_channels
+        if out is None:
+            out = np.empty((n, self.dim), dtype=self.count_dtype)
+        sum_dtype = np.uint8 if k <= 255 else self.count_dtype
+        step = max(1, CELLS // (k * self.dim))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            gathered = self._fused[self._channel_index[None, :], indices_chunk[lo:hi]]
+            out[lo:hi] = gathered.sum(axis=1, dtype=sum_dtype)
+        return out
 
     def _tie_rng(self, seed: SeedLike) -> np.random.Generator | None:
         """The tie-break stream, built only for the ``"random"`` policy.

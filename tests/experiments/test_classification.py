@@ -20,7 +20,7 @@ from repro.experiments import (
     run_table1,
 )
 from repro.basis import CircularBasis
-from repro.hdc import random_hypervectors
+from repro.hdc import encode_keyvalue_records, random_hypervectors
 
 DIM = 2048
 CONFIG = ClassificationConfig(dim=DIM, seed=7)
@@ -106,6 +106,19 @@ class TestEncodeAngularRecords:
         features = rng.uniform(0, 2 * np.pi, (5, 18))
         out = encode_angular_records(features, keys, emb, seed=2)
         assert out.shape == (5, DIM)
+
+    def test_bit_identical_to_reference_encoder(self, rng):
+        emb = CircularBasis(12, DIM, seed=0).circular_embedding()
+        keys = random_hypervectors(18, DIM, seed=1)
+        features = rng.uniform(0, 2 * np.pi, (300, 18))
+        idx = emb.indices(features.ravel()).reshape(features.shape)
+        reference = encode_keyvalue_records(
+            keys, idx, emb.basis.vectors, seed=np.random.default_rng(2)
+        )
+        out = encode_angular_records(
+            features, keys, emb, seed=np.random.default_rng(2)
+        )
+        np.testing.assert_array_equal(out, reference)
 
     def test_key_count_mismatch(self, rng):
         basis = CircularBasis(12, DIM, seed=0)

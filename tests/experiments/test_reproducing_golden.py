@@ -3,7 +3,8 @@
 Each ``--fast`` run is exactly reproducible (d = 1024, seed 2023), so the
 documented tables are golden outputs: ``python -m repro.experiments
 <target> --fast --no-cache`` must print them byte for byte.  Table 2 and
-Figure 7 pin the regressor's integer-model decode.
+Figure 7 pin the regressor's integer-model decode; Figure 8 pins the
+r-sweep's encode path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ _TITLES = {
     "table1": "Table 1: classification accuracy",
     "table2": "Table 2: regression MSE",
     "figure7": "Figure 7: normalized regression MSE",
+    "figure8": "Figure 8: normalized error vs r (reference: random basis)",
 }
 
 

@@ -1,14 +1,14 @@
 """Bit-identity gates for the fused ingest kernel tier.
 
-The acceptance property of :mod:`repro.hdc.ingest`: every backend —
-``fused``, and ``numba`` where importable — trains the exact model the
-reference encode-then-``partial_fit`` path produces, byte for byte in
-the saved-model container and draw for draw in the tie-break RNG, for
-any chunk size, fused block size, thread/worker count, packed or
-unpacked reference encode, and tie policy.  Plus the dispatch contract:
-``"auto"`` respects the calibrated row crossover, unrecognised
-``(model, encode)`` pairs fall back to the reference path untouched,
-and a forced ``"numba"`` without numba fails loudly.
+The acceptance property of :mod:`repro.hdc.ingest`: the ``fused``
+backend trains the exact model the reference encode-then-``partial_fit``
+path produces, byte for byte in the saved-model container and draw for
+draw in the tie-break RNG, for any chunk size, fused block size, worker
+count, packed or unpacked reference encode, and tie policy.  Plus the
+dispatch contract: ``"auto"`` respects the calibrated row crossover,
+unrecognised ``(model, encode)`` pairs fall back to the reference path
+untouched, and an unknown backend name (``"numba"`` included) fails
+loudly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.basis.quantize import CircularDiscretizer, LinearDiscretizer
 from repro.exceptions import InvalidParameterError
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ingest import (
-    HAVE_NUMBA,
     INGEST_BACKENDS,
     ingest_block_rows,
     ingest_chunk,
@@ -52,14 +51,8 @@ from repro.streaming.train import RecordEncode, ValueEncode
 TWO_PI = 2.0 * np.pi
 DIM = 160  # not a multiple of 64: exercises the tie-coin tail mask
 
-#: Backends under test everywhere; numba rows skip cleanly without numba.
-BACKENDS = [
-    "fused",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    ),
-]
+#: The non-reference backends under test everywhere.
+BACKENDS = ["fused"]
 
 
 def value_embedding(dim: int = DIM, levels: int = 10) -> Embedding:
@@ -107,19 +100,14 @@ class TestBackendResolution:
         assert resolve_ingest_backend("ref") == "ref"
 
     def test_every_listed_backend_is_canonical(self):
+        assert INGEST_BACKENDS == ("auto", "ref", "fused")
         for name in INGEST_BACKENDS:
-            if name == "numba" and not HAVE_NUMBA:
-                continue
             assert resolve_ingest_backend(name) == name
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["turbo", "numba"])
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(InvalidParameterError):
-            resolve_ingest_backend("turbo")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_without_numba_fails_loudly(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_ingest_backend("numba")
+            resolve_ingest_backend(name)
 
 
 class TestKnobs:

@@ -11,6 +11,7 @@ from repro.hdc.encoders import encode_keyvalue_records
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.packed import is_packed
 from repro.runtime import BatchEncoder, WorkerPool
+from repro.runtime.batch import CELLS
 
 DIM = 512
 CHANNELS = 6
@@ -95,6 +96,53 @@ class TestEquivalence:
     def test_empty_batch(self, encoder):
         out = encoder.encode(np.empty((0, CHANNELS)), seed=0)
         assert out.shape == (0, DIM)
+
+
+class TestChunkCounts:
+    """The one count kernel across its row-block boundaries.
+
+    ``chunk_counts`` gathers ``max(1, CELLS // (k·d))`` rows at a time;
+    the cases pin a one-row block, several multi-row blocks with a
+    ragged tail, and one block holding every row.
+    """
+
+    @pytest.mark.parametrize(
+        "k, d, n, block",
+        [
+            (128, 10_000, 3, 1),
+            (18, 10_000, 13, 5),
+            (CHANNELS, DIM, 300, CELLS // (CHANNELS * DIM)),
+        ],
+    )
+    def test_blocked_counts_equal_whole_gather(self, k, d, n, block):
+        assert max(1, CELLS // (k * d)) == block
+        enc = BatchEncoder(
+            random_hypervectors(k, d, seed=1),
+            LevelBasis(4, d, seed=0).linear_embedding(0.0, 1.0),
+        )
+        idx = np.random.default_rng(3).integers(0, 4, size=(n, k))
+        expected = enc._fused[np.arange(k)[None, :], idx].sum(
+            axis=1, dtype=enc.count_dtype
+        )
+        # ``out`` as a window into a larger buffer, as the ingest tier
+        # passes it; the rows around the window stay untouched.
+        buf = np.full((n + 4, d), -1, dtype=enc.count_dtype)
+        got = enc.chunk_counts(idx, out=buf[2 : n + 2])
+        assert np.shares_memory(got, buf)
+        np.testing.assert_array_equal(buf[2 : n + 2], expected)
+        assert (buf[:2] == -1).all() and (buf[n + 2 :] == -1).all()
+        np.testing.assert_array_equal(enc.chunk_counts(idx), expected)
+
+    def test_counts_above_255_stay_exact(self):
+        # More than 255 channels leave the uint8 channel sum; identical
+        # (all-zero) keys make every count 0 or k.
+        k = 300
+        basis = LevelBasis(4, 64, seed=0)
+        enc = BatchEncoder(np.zeros((k, 64), np.uint8), basis.linear_embedding(0.0, 1.0))
+        idx = np.full((3, k), 2)
+        counts = enc.chunk_counts(idx)
+        assert counts.dtype == enc.count_dtype
+        np.testing.assert_array_equal(counts, k * basis.vectors[[2, 2, 2]].astype(int))
 
 
 class TestEncodeOne:
